@@ -1,10 +1,10 @@
 """Archive integrity checking and repair (``repro archive fsck``).
 
-The store's writes are individually crash-safe -- objects and the index
-both go through :func:`repro.ioutil.atomic_write` (temp file + fsync +
-rename), index rewrites serialize under the advisory lock -- but
-*crash-safe* is not *damage-proof*.  A kill -9 between an object write
-and its index append leaves an orphan object; disks flip bits under
+The store's writes are individually crash-safe -- objects go through
+:func:`repro.ioutil.atomic_write`, the index is a durable
+:class:`repro.ioutil.AppendLog` -- but *crash-safe* is not
+*damage-proof*.  A kill -9 between an object write and its index
+append leaves an orphan object; disks flip bits under
 content-addressed names; operators truncate files; other tools append
 torn lines.  ``fsck`` is the auditor for all of it: every check
 re-derives an invariant the store relies on, and ``--repair`` restores
@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import gzip
 import hashlib
-import json
 import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -184,7 +183,7 @@ def fsck(store: ArchiveStore, *, repair: bool = False) -> FsckReport:
     ``gc`` serializes against the audit instead of racing it.
     """
     report = FsckReport(root=store.root, repair=repair)
-    with store._locked():
+    with store.locked():
         valid_objects, corrupt_objects = _scan_objects(store)
         report.objects_checked = len(valid_objects) + len(corrupt_objects)
 
@@ -202,62 +201,30 @@ def fsck(store: ArchiveStore, *, repair: bool = False) -> FsckReport:
             report.issues.append(issue)
 
         # ------------------------------------------------------------------
-        # Index pass: raw lines, so torn lines and dangling records are
+        # Index pass: raw entries, so torn lines and dangling records are
         # visible (store.records() silently skips both).
+        entries, torn = store.index.read()
+        highest_serial = ArchiveStore._max_run_serial(entries)
+        torn_details = ["index line is not valid JSON"] * torn
         run_entries: List[dict] = []
         tag_entries: List[dict] = []
-        highest_serial = 0
-        torn = 0
-        for lineno, line in enumerate(store._read_index_lines(), start=1):
-            stripped = line.strip()
-            if not stripped:
-                continue
-            try:
-                entry = json.loads(stripped)
-            except ValueError:
-                torn += 1
-                issue = FsckIssue(
-                    kind="torn_index_line",
-                    detail=f"index line {lineno} is not valid JSON "
-                    f"({stripped[:40]!r}…)",
-                )
-                if repair:
-                    issue.repaired = True
-                    issue.action = "rewritten"
-                report.issues.append(issue)
-                continue
+        for entry in entries:
             kind = entry.get("type")
             if kind == "run":
-                run_id = entry.get("run_id")
-                if not isinstance(run_id, str) or not isinstance(
+                if not isinstance(entry.get("run_id"), str) or not isinstance(
                     entry.get("sha256"), str
                 ):
-                    torn += 1
-                    issue = FsckIssue(
-                        kind="torn_index_line",
-                        detail=f"index line {lineno}: run record missing "
-                        f"run_id/sha256",
-                    )
-                    if repair:
-                        issue.repaired = True
-                        issue.action = "rewritten"
-                    report.issues.append(issue)
+                    torn_details.append("run record missing run_id/sha256")
                     continue
-                if run_id[:1] == "r":
-                    try:
-                        highest_serial = max(highest_serial, int(run_id[1:]))
-                    except ValueError:
-                        pass
                 run_entries.append(entry)
             elif kind == "tag":
                 tag_entries.append(entry)
-            elif kind == "counter":
-                try:
-                    highest_serial = max(
-                        highest_serial, int(entry.get("last_run", 0))
-                    )
-                except (TypeError, ValueError):
-                    pass
+        for detail in torn_details:
+            issue = FsckIssue(kind="torn_index_line", detail=detail)
+            if repair:
+                issue.repaired = True
+                issue.action = "rewritten"
+            report.issues.append(issue)
         report.records_checked = len(run_entries) + len(tag_entries)
 
         surviving_runs: List[dict] = []
@@ -324,18 +291,13 @@ def fsck(store: ArchiveStore, *, repair: bool = False) -> FsckReport:
                     issue.detail += f"; delete failed: {exc}"
             report.issues.append(issue)
 
-        if repair and (torn or dropped_records):
+        if repair and (torn_details or dropped_records):
             # Rebuild the index like gc does: counter record first, so
             # run-id monotonicity survives dropping the newest records.
-            entries: List[dict] = [{"type": "counter", "last_run": highest_serial}]
-            entries.extend(surviving_runs)
-            entries.extend(surviving_tags)
-            text = "\n".join(
-                json.dumps(entry, sort_keys=True, separators=(",", ":"))
-                for entry in entries
+            store.index.rewrite(
+                [{"type": "counter", "last_run": highest_serial}]
+                + surviving_runs
+                + surviving_tags
             )
-            from repro.ioutil import atomic_write
-
-            atomic_write(store.index_path, text + "\n")
             report.index_rewritten = True
     return report

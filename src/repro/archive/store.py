@@ -5,7 +5,7 @@ Layout of an archive directory::
     <root>/
       objects/<aa>/<sha256>.json.gz   # gzip'd canonical profile JSON
       index.jsonl                     # append-only run/tag records
-      index.lock                      # advisory lock for index rewrites
+      index.lock                      # the index's advisory lock
 
 **Objects** are immutable and keyed by the sha256 of the *canonical*
 profile JSON (sorted keys, compact separators), so re-archiving an
@@ -14,14 +14,10 @@ and the existing object is reused.  The gzip header is written with a
 zeroed mtime, making the object file itself a pure function of the
 profile content.
 
-**The index** is append-only JSONL.  Every mutation rewrites it through
-:func:`repro.ioutil.atomic_write` under an advisory file lock, so a
-crash mid-write can never leave a torn index (readers see the old or
-the new file, nothing in between) and concurrent supervisor workers
-archiving cells in parallel serialize cleanly.  Loading tolerates
-unparsable lines the same way the supervisor journal does: corruption
-never makes the archive refuse to answer, the worst case is a missing
-record.
+**The index** is a :class:`repro.ioutil.AppendLog`: ``put`` and ``tag``
+append to it, and only ``gc`` and ``fsck --repair`` rewrite it.
+Corruption never makes the archive refuse to answer; the worst case is
+a missing record.
 
 Record types::
 
@@ -45,14 +41,15 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterable, Iterator, List, Optional
 
 from repro.cube.export import profile_from_dict, profile_to_dict
 from repro.errors import ArchiveError, ArchiveLockTimeout
-from repro.ioutil import atomic_write
+from repro.ioutil import AppendLog, atomic_write
 from repro.archive.meta import RunMeta
 
 INDEX_NAME = "index.jsonl"
+LOCK_NAME = "index.lock"
 OBJECTS_DIR = "objects"
 QUARANTINE_DIR = "quarantine"
 GZIP_MAGIC = b"\x1f\x8b"
@@ -138,60 +135,35 @@ class ArchiveStore:
                 f"lock_timeout_s must be positive, got {lock_timeout_s!r}"
             )
         self.lock_timeout_s = lock_timeout_s
+        self.index = AppendLog(
+            os.path.join(self.root, INDEX_NAME),
+            lock_path=os.path.join(self.root, LOCK_NAME),
+            lock_timeout_s=lock_timeout_s,
+        )
 
     # -- paths ---------------------------------------------------------
     @property
     def index_path(self) -> str:
-        return os.path.join(self.root, INDEX_NAME)
+        return self.index.path
 
     def object_path(self, sha256: str) -> str:
         return os.path.join(self.root, OBJECTS_DIR, sha256[:2], sha256 + ".json.gz")
 
     # -- locking -------------------------------------------------------
     @contextlib.contextmanager
-    def _locked(self) -> Iterator[None]:
-        """Advisory exclusive lock serializing index rewrites.
-
-        Best-effort where ``fcntl`` is unavailable (Windows): the write
-        itself stays atomic either way, the lock only serializes
-        concurrent read-modify-write cycles.
-        """
-        os.makedirs(self.root, exist_ok=True)
-        lock_path = os.path.join(self.root, "index.lock")
-        try:
-            import fcntl
-        except ImportError:  # pragma: no cover - non-POSIX
-            yield
-            return
-        with open(lock_path, "a+") as handle:
-            if self.lock_timeout_s is None:
-                fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
-            else:
-                # Bounded wait: poll a non-blocking flock until the
-                # deadline.  EWOULDBLOCK is the only retryable errno;
-                # anything else is a real filesystem failure.
-                deadline = time.monotonic() + self.lock_timeout_s
-                while True:
-                    try:
-                        fcntl.flock(
-                            handle.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB
-                        )
-                        break
-                    except (BlockingIOError, PermissionError):
-                        if time.monotonic() >= deadline:
-                            raise ArchiveLockTimeout(
-                                f"could not acquire the archive index lock "
-                                f"at {lock_path!r} within "
-                                f"{self.lock_timeout_s:g} s (held by a "
-                                f"concurrent writer?)"
-                            ) from None
-                        time.sleep(
-                            min(0.01, self.lock_timeout_s / 20.0)
-                        )
+    def locked(self) -> Iterator[None]:
+        """Hold the index lock, serializing every index mutation."""
+        with contextlib.ExitStack() as stack:
             try:
-                yield
-            finally:
-                fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
+                stack.enter_context(self.index.locked())
+            except TimeoutError:
+                raise ArchiveLockTimeout(
+                    f"could not acquire the archive index lock at "
+                    f"{self.index.lock_path!r} within "
+                    f"{self.lock_timeout_s:g} s (held by a concurrent "
+                    f"writer?)"
+                ) from None
+            yield
 
     # -- objects -------------------------------------------------------
     @staticmethod
@@ -267,31 +239,11 @@ class ArchiveStore:
         return profile_from_dict(json.loads(payload.decode("utf-8")))
 
     # -- index ---------------------------------------------------------
-    def _read_index_lines(self) -> List[str]:
-        try:
-            with open(self.index_path, encoding="utf-8") as handle:
-                return handle.read().splitlines()
-        except FileNotFoundError:
-            return []
-
-    def _append_entries(self, entries: List[dict]) -> None:
-        lines = self._read_index_lines()
-        for entry in entries:
-            lines.append(json.dumps(entry, sort_keys=True, separators=(",", ":")))
-        atomic_write(self.index_path, "\n".join(lines) + "\n")
-
     def records(self) -> List[ArchiveRecord]:
         """All run records, oldest first, with ``tag`` records folded in."""
         records: Dict[str, ArchiveRecord] = {}
         order: List[str] = []
-        for line in self._read_index_lines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                entry = json.loads(line)
-            except ValueError:
-                continue  # torn/corrupt line: skip, like the journal does
+        for entry in self.index.read()[0]:
             kind = entry.get("type")
             if kind == "run":
                 try:
@@ -308,24 +260,18 @@ class ArchiveStore:
                     record.extra_tags.append(tag)
         return [records[run_id] for run_id in order]
 
-    def _max_run_serial(self) -> int:
-        """The highest run-id serial the index has ever allocated.
+    @staticmethod
+    def _max_run_serial(entries: Iterable[dict]) -> int:
+        """The highest run-id serial the index entries have ever allocated.
 
-        Scans every raw ``run`` line (not the deduplicated
+        Scans every raw ``run`` entry (not the deduplicated
         :meth:`records` view, which keeps one entry per id) and any
         ``counter`` high-water records gc leaves behind when it prunes,
         so ids stay monotonic even after the records that carried them
         are gone from the index.
         """
         highest = 0
-        for line in self._read_index_lines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                entry = json.loads(line)
-            except ValueError:
-                continue
+        for entry in entries:
             kind = entry.get("type")
             if kind == "run":
                 run_id = entry.get("run_id")
@@ -372,16 +318,17 @@ class ArchiveStore:
         orphan.  Objects are small (gzip'd profile JSON); holding the
         lock across the write is cheap.
         """
-        with self._locked():
+        with self.locked():
             sha256, created = self.put_object(profile)
+            serial = self._max_run_serial(self.index.read()[0])
             record = ArchiveRecord(
-                run_id=f"r{self._max_run_serial() + 1:04d}",
+                run_id=f"r{serial + 1:04d}",
                 sha256=sha256,
                 created=time.time(),
                 meta=meta,
                 deduplicated=not created,
             )
-            self._append_entries([record.to_dict()])
+            self.index.append(record.to_dict())
         return record
 
     def load_profile(self, ref: str):
@@ -391,11 +338,11 @@ class ArchiveStore:
         """Append a tag to an existing run record."""
         if not tag:
             raise ArchiveError("tag must be a non-empty string")
-        with self._locked():
+        with self.locked():
             record = self.get_record(ref)
             if tag not in record.tags:
-                self._append_entries(
-                    [{"type": "tag", "run_id": record.run_id, "tag": tag}]
+                self.index.append(
+                    {"type": "tag", "run_id": record.run_id, "tag": tag}
                 )
                 record.extra_tags.append(tag)
         return record
@@ -410,7 +357,7 @@ class ArchiveStore:
         write and the index append -- are deleted.
         """
         stats = GcStats()
-        with self._locked():
+        with self.locked():
             records = self.records()
             keep = records
             if keep_last is not None:
@@ -424,28 +371,24 @@ class ArchiveStore:
                     survivors.update(id(r) for r in group[-keep_last:])
                 keep = [r for r in records if id(r) in survivors]
                 stats.runs_dropped = len(records) - len(keep)
-            # Preserve the id high-water mark across the rewrite so ids
-            # of pruned runs are never handed out again.  The index --
-            # counter record first -- is written *before* any object is
-            # deleted: an OSError (ENOSPC, permissions) mid-prune then
-            # leaves a consistent index whose surviving records all still
-            # have their objects; undeleted garbage is re-collectable by
-            # a later gc.
-            entries: List[dict] = [
-                {"type": "counter", "last_run": self._max_run_serial()}
-            ]
-            for record in keep:
-                entries.append(record.to_dict())
-                for tag in record.extra_tags:
-                    entries.append(
-                        {"type": "tag", "run_id": record.run_id, "tag": tag}
-                    )
-            if keep_last is not None:
-                text = "\n".join(
-                    json.dumps(e, sort_keys=True, separators=(",", ":"))
-                    for e in entries
-                )
-                atomic_write(self.index_path, text + "\n")
+                # Preserve the id high-water mark across the rewrite so
+                # ids of pruned runs are never handed out again.  The
+                # index -- counter record first -- is written *before*
+                # any object is deleted: an OSError (ENOSPC,
+                # permissions) mid-prune then leaves a consistent index
+                # whose surviving records all still have their objects;
+                # undeleted garbage is re-collectable by a later gc.
+                entries: List[dict] = [{
+                    "type": "counter",
+                    "last_run": self._max_run_serial(self.index.read()[0]),
+                }]
+                for record in keep:
+                    entries.append(record.to_dict())
+                    for tag in record.extra_tags:
+                        entries.append(
+                            {"type": "tag", "run_id": record.run_id, "tag": tag}
+                        )
+                self.index.rewrite(entries)
             referenced = {record.sha256 for record in keep}
             objects_root = os.path.join(self.root, OBJECTS_DIR)
             for dirpath, _dirnames, filenames in os.walk(objects_root):

@@ -1,10 +1,11 @@
 """Crash-consistency harness for the profile archive.
 
 The store promises that a kill -9 at any instruction leaves it
-loadable: objects and index go through atomic temp-file renames, so the
-only legal residue of a crash is an *orphan object* (the object rename
-landed, the index append did not).  Promises like that rot unless
-something keeps trying to break them -- this module is that something.
+loadable: objects go through atomic temp-file renames and each index
+append is one fsync'd write, so the only legal residue of a crash is
+an *orphan object* (the object rename landed, the index append did
+not).  Promises like that rot unless something keeps trying to break
+them -- this module is that something.
 It drives real subprocesses doing real ``put()``/``gc()`` work, kills
 them with SIGKILL at arbitrary points, and hands the wreckage to
 :func:`repro.archive.fsck.fsck` to prove detection and repair.
@@ -16,9 +17,9 @@ Two kinds of damage are produced:
   is, by construction, a state the store can really reach.
 * **seeded corruption** (:func:`corrupt_archive`): each of the five
   :data:`CORRUPTION_CLASSES` is injected deterministically -- including
-  the classes atomic renames *prevent* (torn index lines, truncated
-  objects), because fsck must also survive damage from outside the
-  store's own write paths (disk rot, operator accidents, other tools).
+  the classes the store's write paths *prevent* (torn index lines,
+  truncated objects), because fsck must also survive damage from
+  outside them (disk rot, operator accidents, other tools).
 
 Everything here is deterministic given ``seed`` and importable at
 module top level (the subprocess targets must survive pickling under
@@ -199,14 +200,5 @@ def corrupt_archive(root: str, kind: str, *, seed: int = 0) -> dict:
         "created": 0.0,
         "meta": synthetic_meta(0, seed=seed).to_dict(),
     }
-    with open(store.index_path, "ab+") as handle:
-        handle.seek(0, os.SEEK_END)
-        if handle.tell():
-            handle.seek(-1, os.SEEK_END)
-            if handle.read(1) != b"\n":  # don't merge into a torn tail
-                handle.write(b"\n")
-        handle.write(
-            json.dumps(record, sort_keys=True, separators=(",", ":")).encode()
-            + b"\n"
-        )
+    store.index.append(record)
     return {"kind": kind, "sha256": ghost_sha, "run_id": record["run_id"]}

@@ -26,11 +26,11 @@ to.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.ioutil import AppendLog
 from repro.service.ledger import LedgerState, load_ledger
 from repro.service.model import TERMINAL_STATES
 from repro.supervisor.journal import TERMINAL_OUTCOMES
@@ -69,28 +69,15 @@ def _journal_terminal_counts(path: str) -> Tuple[Dict[str, int], int]:
     no-duplication claim is about executions that happened, not about
     the final state.
     """
+    entries, torn = AppendLog(path).read()
     counts: Dict[str, int] = {}
-    torn = 0
-    try:
-        handle = open(path, encoding="utf-8")
-    except FileNotFoundError:
-        return counts, torn
-    with handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                entry = json.loads(line)
-            except ValueError:
-                torn += 1
-                continue
-            if (
-                entry.get("type") == "result"
-                and entry.get("outcome") in TERMINAL_OUTCOMES
-            ):
-                cell = str(entry.get("cell"))
-                counts[cell] = counts.get(cell, 0) + 1
+    for entry in entries:
+        if (
+            entry.get("type") == "result"
+            and entry.get("outcome") in TERMINAL_OUTCOMES
+        ):
+            cell = str(entry.get("cell"))
+            counts[cell] = counts.get(cell, 0) + 1
     return counts, torn
 
 

@@ -1,11 +1,8 @@
-"""The crash-safe campaign journal: append-only, fsync'd JSONL.
+"""The crash-safe campaign journal: a write-ahead :class:`~repro.ioutil.AppendLog`.
 
-The supervisor writes one JSON record per line, flushed and fsync'd
-before the action it describes takes effect ("write-ahead"): a
-``start`` record before a worker launches, a ``result`` record as soon
-as its outcome is known.  Because appends are the only mutation, a
-SIGKILL at any byte offset costs at most the final, partial line --
-:func:`load_journal` tolerates exactly that and replays the rest, which
+The supervisor appends one record *before* the action it describes
+takes effect: a ``start`` record before a worker launches, a ``result``
+record as soon as its outcome is known.  Replay (:func:`load_journal`)
 is what makes ``--resume`` safe after a crash of the supervisor itself.
 
 Record types::
@@ -30,12 +27,11 @@ a pipe, so an orphaned worker can never corrupt it.
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Set
+from typing import Dict, Set
 
 from repro.errors import JournalVersionError
+from repro.ioutil import AppendLog
 
 #: Version 2 added the fabric outcomes (``short_circuited``,
 #: ``cancelled``, ``stuck``) and made the meta record an enforced
@@ -59,21 +55,11 @@ RETRYABLE_OUTCOMES = frozenset({"crash", "timeout", "oom", "stuck"})
 RESUMABLE_OUTCOMES = frozenset({"interrupted", "cancelled", "pending"})
 
 
-class Journal:
+class Journal(AppendLog):
     """Append-only writer.  Every record hits the disk before we act."""
 
-    def __init__(self, path: str):
-        self.path = os.fspath(path)
-        directory = os.path.dirname(self.path)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-        self._handle = open(self.path, "a", encoding="utf-8")
-
     def record(self, entry: dict) -> None:
-        line = json.dumps(entry, separators=(",", ":"), sort_keys=True)
-        self._handle.write(line + "\n")
-        self._handle.flush()
-        os.fsync(self._handle.fileno())
+        self.append(entry)
 
     # Convenience constructors for the record types -------------------
     def meta(self, n_cells: int) -> None:
@@ -89,16 +75,6 @@ class Journal:
 
     def interrupt(self, completed: int) -> None:
         self.record({"type": "interrupt", "completed": completed})
-
-    def close(self) -> None:
-        if not self._handle.closed:
-            self._handle.close()
-
-    def __enter__(self) -> "Journal":
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.close()
 
 
 @dataclass
@@ -124,45 +100,30 @@ class JournalState:
 
 
 def load_journal(path: str) -> JournalState:
-    """Replay a journal, tolerating a torn final line.
+    """Replay a journal; torn or corrupt lines count in ``skipped_lines``.
 
-    A partial trailing line is the expected residue of a supervisor
-    killed mid-append; it is counted in ``skipped_lines`` and otherwise
-    ignored, as is any line that fails to parse (corruption never makes
-    resume refuse to run -- the worst case is re-running a cell).  The
-    one deliberate refusal is a ``meta`` header declaring a *newer*
-    schema version than this build writes: that raises
-    :class:`~repro.errors.JournalVersionError` instead of guessing at
-    records this code predates.
+    Corruption never makes resume refuse to run -- the worst case is
+    re-running a cell.  The one deliberate refusal is a ``meta`` header
+    declaring a *newer* schema version than this build writes: that
+    raises :class:`~repro.errors.JournalVersionError` instead of
+    guessing at records this code predates.
     """
-    state = JournalState()
-    try:
-        handle = open(path, encoding="utf-8")
-    except FileNotFoundError:
-        return state
-    with handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                entry = json.loads(line)
-            except ValueError:
-                state.skipped_lines += 1
-                continue
-            kind = entry.get("type")
-            if kind == "meta":
-                version = entry.get("version")
-                if not isinstance(version, int) or version > JOURNAL_VERSION:
-                    raise JournalVersionError(version, JOURNAL_VERSION)
-            elif kind == "start":
-                cell = entry.get("cell")
-                state.attempts[cell] = max(
-                    state.attempts.get(cell, 0), int(entry.get("attempt", 0))
-                )
-            elif kind == "result":
-                cell = entry.get("cell")
-                state.results[cell] = entry
-            elif kind == "interrupt":
-                state.interrupted = True
+    entries, skipped = AppendLog(path).read()
+    state = JournalState(skipped_lines=skipped)
+    for entry in entries:
+        kind = entry.get("type")
+        if kind == "meta":
+            version = entry.get("version")
+            if not isinstance(version, int) or version > JOURNAL_VERSION:
+                raise JournalVersionError(version, JOURNAL_VERSION)
+        elif kind == "start":
+            cell = entry.get("cell")
+            state.attempts[cell] = max(
+                state.attempts.get(cell, 0), int(entry.get("attempt", 0))
+            )
+        elif kind == "result":
+            cell = entry.get("cell")
+            state.results[cell] = entry
+        elif kind == "interrupt":
+            state.interrupted = True
     return state

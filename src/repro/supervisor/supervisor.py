@@ -314,8 +314,6 @@ class Supervisor:
         finally:
             if sigterm_installed:
                 signal.signal(signal.SIGTERM, previous_sigterm)
-            if journal is not None:
-                journal.close()
 
         if interrupted:
             for spec in self.specs:
@@ -648,6 +646,19 @@ class Supervisor:
                                 f"{salvage['records']} recorded events "
                                 f"from {salvage['source']}"
                             ).lstrip("; ")
+                # Settle the cell before journaling it: a Ctrl-C landing
+                # inside the append must not drop a finished cell from
+                # the partial table.
+                results[entry.spec.cell_id] = CellResult(
+                    cell_id=entry.spec.cell_id,
+                    outcome=payload["outcome"],
+                    ok=bool(payload["ok"]),
+                    status=payload["status"],
+                    summary=payload["summary"],
+                    attempts=entry.attempt,
+                    error=payload["error"],
+                    duration_s=payload["duration_s"],
+                )
             if journal is not None:
                 journal.result(entry.spec.cell_id, entry.attempt, payload)
             if breaker is not None:
@@ -663,17 +674,6 @@ class Supervisor:
                         entry.attempt + 1,
                         entry.round + 1,
                     )
-                )
-            else:
-                results[entry.spec.cell_id] = CellResult(
-                    cell_id=entry.spec.cell_id,
-                    outcome=payload["outcome"],
-                    ok=bool(payload["ok"]),
-                    status=payload["status"],
-                    summary=payload["summary"],
-                    attempts=entry.attempt,
-                    error=payload["error"],
-                    duration_s=payload["duration_s"],
                 )
 
     @staticmethod

@@ -122,11 +122,12 @@ def test_records_tolerate_torn_index_lines(tmp_path, fib_result):
     store = ArchiveStore(tmp_path / "arch")
     _put(store, fib_result)
     with open(store.index_path, "a", encoding="utf-8") as handle:
-        handle.write('{"type":"run","run_id":"r00\n')  # torn mid-write
         handle.write("garbage line\n")
+        handle.write('{"type":"run","run_id":"r00')  # torn mid-write
     _put(store, fib_result)
     records = store.records()
     assert [r.run_id for r in records] == ["r0001", "r0002"]
+    assert store.index.read()[1] == 2  # the garbage and the sealed fragment
 
 
 # ----------------------------------------------------------------------

@@ -74,6 +74,11 @@ class TestReplay:
         state = load_ledger(ledger.path)
         assert state.skipped_lines == 1
         assert state.get("c0001").state == "submitted"
+        # The next writer appends after the tear without gluing onto it.
+        submit(ledger, "c0002")
+        state = load_ledger(ledger.path)
+        assert state.skipped_lines == 1
+        assert state.get("c0002").state == "submitted"
 
     def test_illegal_edge_is_recorded_as_violation(self, tmp_path):
         ledger = make_ledger(tmp_path)

@@ -295,6 +295,30 @@ def test_shed_policy_evicts_rather_than_grows(tmp_path):
     assert report.admission_stats["peak_pending"] <= 2
 
 
+def test_ctrl_c_during_a_result_append_keeps_the_finished_cell(
+    tmp_path, monkeypatch
+):
+    # The Ctrl-C lands after the result hit the journal but before the
+    # append returned: the partial table must still show the cell ok.
+    record = Journal.record
+
+    def interrupted_after_result(self, entry):
+        record(self, entry)
+        if entry["type"] == "result":
+            raise KeyboardInterrupt
+
+    monkeypatch.setattr(Journal, "record", interrupted_after_result)
+    report = run_supervised(
+        [_stub("ok_cell", cell_id="first"), _stub("ok_cell", cell_id="second")],
+        journal_path=str(tmp_path / "j.jsonl"),
+    )
+    assert report.interrupted
+    assert [(r.cell_id, r.outcome) for r in report.results] == [
+        ("first", "ok"), ("second", "pending"),
+    ]
+    assert load_journal(str(tmp_path / "j.jsonl")).completed == {"first"}
+
+
 # ----------------------------------------------------------------------
 # Journal schema version
 # ----------------------------------------------------------------------

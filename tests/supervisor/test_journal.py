@@ -26,13 +26,13 @@ def _result_payload(outcome="ok", ok=True):
 
 def test_journal_roundtrip(tmp_path):
     path = tmp_path / "j.jsonl"
-    with Journal(str(path)) as journal:
-        journal.meta(2)
-        journal.start("a", 1)
-        journal.result("a", 1, _result_payload())
-        journal.start("b", 1)
-        journal.result("b", 1, _result_payload("crash", ok=False))
-        journal.start("b", 2)
+    journal = Journal(str(path))
+    journal.meta(2)
+    journal.start("a", 1)
+    journal.result("a", 1, _result_payload())
+    journal.start("b", 1)
+    journal.result("b", 1, _result_payload("crash", ok=False))
+    journal.start("b", 2)
     state = load_journal(str(path))
     assert state.results["a"]["outcome"] == "ok"
     assert state.results["b"]["outcome"] == "crash"
@@ -43,21 +43,27 @@ def test_journal_roundtrip(tmp_path):
 
 def test_torn_final_line_is_tolerated(tmp_path):
     path = tmp_path / "j.jsonl"
-    with Journal(str(path)) as journal:
-        journal.start("a", 1)
-        journal.result("a", 1, _result_payload())
+    journal = Journal(str(path))
+    journal.start("a", 1)
+    journal.result("a", 1, _result_payload())
     with open(path, "a", encoding="utf-8") as handle:
         handle.write('{"type":"result","cell":"b","att')  # SIGKILL mid-append
     state = load_journal(str(path))
     assert state.completed == {"a"}
     assert state.skipped_lines == 1
+    # A resumed supervisor appends after the tear: the fragment stays one
+    # skipped line and the new record is not glued onto it.
+    journal.result("c", 1, _result_payload())
+    state = load_journal(str(path))
+    assert state.completed == {"a", "c"}
+    assert state.skipped_lines == 1
 
 
 def test_interrupt_record_is_replayed(tmp_path):
     path = tmp_path / "j.jsonl"
-    with Journal(str(path)) as journal:
-        journal.result("a", 1, _result_payload("interrupted", ok=False))
-        journal.interrupt(completed=0)
+    journal = Journal(str(path))
+    journal.result("a", 1, _result_payload("interrupted", ok=False))
+    journal.interrupt(completed=0)
     state = load_journal(str(path))
     assert state.interrupted
     assert state.completed == set()  # interrupted cells re-run on resume
