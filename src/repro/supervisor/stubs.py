@@ -20,6 +20,11 @@ def ok_cell(value: int = 0) -> dict:
     return {"summary": f"ok (value={value})"}
 
 
+def pid_cell() -> dict:
+    """Completes immediately, reporting the worker process that ran it."""
+    return {"pid": os.getpid()}
+
+
 def sleep_cell(wall_s: float = 0.2) -> dict:
     """Completes after ``wall_s`` real seconds (resume-test pacing)."""
     time.sleep(wall_s)

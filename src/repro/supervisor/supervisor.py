@@ -12,6 +12,14 @@ write-ahead to an fsync'd JSONL file so that a SIGKILL of any worker
 re-runs only the rest.  ``KeyboardInterrupt`` drains workers, flushes
 the journal, and returns the partial results instead of losing them.
 
+Workers are forked once per job slot and reused for the cells of one
+:meth:`Supervisor.run`, so a cell does not pay for a fresh fork and a
+cold copy-on-write heap.  A worker that reports a completed cell
+(``ok``/``partial``/``degraded``) goes back to the idle set; any other
+outcome, a crash, a stall or a kill retires it, so the next cell -- and
+every retry -- gets a fresh process.  Idle workers are sent an exit
+sentinel and joined when ``run()`` ends, on every path out of it.
+
 On top of that crash-safety core sit the fabric layers
 (:mod:`repro.fabric`), each optional and inert by default:
 
@@ -61,7 +69,11 @@ from repro.supervisor.journal import (
     load_journal,
 )
 from repro.supervisor.spec import RunSpec, check_unique_cell_ids
-from repro.supervisor.worker import worker_main
+from repro.supervisor.worker import worker_loop
+
+#: outcomes of a cell that ran to completion in its worker; only these
+#: hand the worker back for the next cell
+_COMPLETED_OUTCOMES = frozenset({"ok", "partial", "degraded"})
 
 
 @dataclass
@@ -184,6 +196,8 @@ class Supervisor:
                 else None
             )
         self._ctx = multiprocessing.get_context(start_method)
+        #: ``(proc, conn)`` of live workers waiting for their next cell
+        self._idle: List[tuple] = []
 
     # ------------------------------------------------------------------
     def run(self) -> SupervisorReport:
@@ -314,6 +328,8 @@ class Supervisor:
         finally:
             if sigterm_installed:
                 signal.signal(signal.SIGTERM, previous_sigterm)
+            while self._idle:
+                self._reap(*self._idle.pop())
 
         if interrupted:
             for spec in self.specs:
@@ -511,16 +527,8 @@ class Supervisor:
         limit = spec.wall_timeout_s if spec.wall_timeout_s is not None else self.timeout_s
         if journal is not None:
             journal.start(spec.cell_id, attempt)  # write-ahead
-        recv_conn, send_conn = self._ctx.Pipe(duplex=False)
-        proc = self._ctx.Process(
-            target=worker_main,
-            args=(send_conn, spec.to_dict(), limit, self.heartbeat_s),
-            name=f"repro-cell-{spec.cell_id}",
-            daemon=True,
-        )
         started = time.monotonic()
-        proc.start()
-        send_conn.close()  # child's end; keeping it open would mask EOF
+        proc, conn = self._hand_off((spec.to_dict(), limit))
         # The parent-side deadline is a backstop behind the worker's own
         # SIGALRM, so it gets a grace period on top of the limit.
         deadline = None
@@ -531,12 +539,43 @@ class Supervisor:
             attempt=attempt,
             round=rnd,
             proc=proc,
-            conn=recv_conn,
+            conn=conn,
             started=started,
             deadline=deadline,
             limit=limit,
             probe=probe,
         )
+
+    def _hand_off(self, job: tuple) -> tuple:
+        """Send ``job`` to an idle live worker, forking one if none is left.
+
+        Returns the worker's ``(proc, conn)``.  An idle worker that died
+        while waiting (an OOM kill, a stray signal) is reaped here rather
+        than charged to the cell it would have run.
+        """
+        while self._idle:
+            proc, conn = self._idle.pop()
+            if proc.is_alive():
+                try:
+                    conn.send(job)
+                    return proc, conn
+                except OSError:
+                    pass
+            self._reap(proc, conn)
+        conn, child_conn = self._ctx.Pipe()
+        proc = self._ctx.Process(
+            target=worker_loop,
+            args=(child_conn, conn, self.heartbeat_s),
+            name="repro-worker",
+            daemon=True,
+        )
+        proc.start()
+        child_conn.close()  # child's end; keeping it open would mask EOF
+        try:
+            conn.send(job)
+        except OSError:  # died at birth: the poll classifies the crash
+            pass
+        return proc, conn
 
     def _poll(
         self,
@@ -562,14 +601,20 @@ class Supervisor:
         for entry in running:
             payload = self._receive(entry, liveness, now)
             if payload is not None:
-                self._reap(entry)
+                if (
+                    payload.get("outcome") in _COMPLETED_OUTCOMES
+                    and entry.proc.is_alive()
+                ):
+                    self._idle.append((entry.proc, entry.conn))
+                else:
+                    self._reap(entry.proc, entry.conn)
                 finished.append((entry, payload))
             elif not entry.proc.is_alive():
                 # The worker may have sent its result and exited between
                 # the drain above and this liveness check: drain once
                 # more before declaring a crash.
                 payload = self._receive(entry, liveness, now)
-                self._reap(entry)
+                self._reap(entry.proc, entry.conn)
                 finished.append(
                     (entry, payload if payload is not None else self._crash_payload(entry))
                 )
@@ -717,15 +762,21 @@ class Supervisor:
         }
 
     @staticmethod
-    def _reap(entry: _Running) -> None:
-        entry.proc.join(timeout=5.0)
-        if entry.proc.is_alive():  # pragma: no cover - wedged after result
-            entry.proc.kill()
-            entry.proc.join(timeout=5.0)
+    def _reap(proc, conn) -> None:
+        """Retire a worker: send a live one the exit sentinel, then join."""
+        if proc.is_alive():
+            try:
+                conn.send(None)
+            except OSError:  # already gone
+                pass
         try:
-            entry.conn.close()
+            conn.close()
         except OSError:  # pragma: no cover
             pass
+        proc.join(timeout=5.0)
+        if proc.is_alive():  # pragma: no cover - wedged after result
+            proc.kill()
+            proc.join(timeout=5.0)
 
     @staticmethod
     def _kill(entry: _Running) -> None:

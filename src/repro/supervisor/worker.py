@@ -1,6 +1,15 @@
-"""The supervised worker: run one :class:`RunSpec` in a child process.
+"""The supervised worker: run :class:`RunSpec` cells in a child process.
 
-The worker is the isolation boundary.  It enforces the *wall-clock*
+The worker is the isolation boundary.  One worker process serves one
+job slot of one :meth:`~repro.supervisor.supervisor.Supervisor.run`:
+:func:`worker_loop` receives ``(spec_dict, wall_timeout_s)`` over a
+duplex pipe, runs the cell, sends the payload back and waits for the
+next spec, so a warm process is not forked (and its copy-on-write heap
+not re-faulted) per cell.  The parent retires the worker after any
+outcome that is not a completed cell (``ok``/``partial``/``degraded``);
+every retry therefore still runs in a fresh process.
+
+The worker enforces the *wall-clock*
 watchdog (``RuntimeConfig.wall_timeout_s`` / ``RunSpec.wall_timeout_s``)
 with ``SIGALRM``, which the in-process runtime cannot do -- a kernel
 busy-looping in host Python never advances virtual time, so the
@@ -233,7 +242,7 @@ def _start_heartbeats(conn, send_lock, interval_s):
     """Start the heartbeat daemon thread; returns its stop event.
 
     The thread shares the result pipe with the main thread, so every
-    send -- beats here, the final payload in :func:`worker_main` --
+    send -- beats here, the final payload in :func:`_run_cell` --
     holds ``send_lock``; ``Connection.send`` is not atomic across
     threads and an interleaved pickle would tear the stream.
     """
@@ -258,18 +267,19 @@ def _start_heartbeats(conn, send_lock, interval_s):
     return stop
 
 
-def worker_main(conn, spec_dict: dict, wall_timeout_s=None, heartbeat_s=None) -> None:
-    """Subprocess entry point: run the spec, send the payload, exit.
+def worker_loop(conn, parent_conn, heartbeat_s=None) -> None:
+    """Subprocess entry point: run specs from ``conn`` until EOF or ``None``.
+
+    ``parent_conn`` is the supervisor's end of the same pipe; a forked
+    child inherits it and closes it first, so that once the supervisor
+    is gone (even SIGKILLed) the next ``recv`` sees EOF and the worker
+    exits after its current cell instead of waiting forever.
 
     SIGINT is ignored so a terminal Ctrl-C (delivered to the whole
     process group) reaches only the supervisor, which then drains its
     workers deliberately via SIGTERM and journals the partial state.
-
-    When ``heartbeat_s`` is set, a daemon thread pulses liveness records
-    over the pipe while the spec runs; the final result is sent under
-    the same lock, tagged ``{"type": "result", ...}`` so the parent can
-    split the streams.
     """
+    parent_conn.close()
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
         # A forked worker inherits the supervisor's SIGTERM drain
@@ -278,6 +288,27 @@ def worker_main(conn, spec_dict: dict, wall_timeout_s=None, heartbeat_s=None) ->
         signal.signal(signal.SIGTERM, signal.SIG_DFL)
     except (ValueError, OSError):  # pragma: no cover - non-main thread
         pass
+    while True:
+        try:
+            job = conn.recv()
+        except (EOFError, OSError):  # supervisor closed or died
+            return
+        if job is None:
+            return
+        spec_dict, wall_timeout_s = job
+        if not _run_cell(conn, spec_dict, wall_timeout_s, heartbeat_s):
+            return
+
+
+def _run_cell(conn, spec_dict: dict, wall_timeout_s, heartbeat_s) -> bool:
+    """Run one spec and send its payload; False when the pipe is gone.
+
+    When ``heartbeat_s`` is set, a daemon thread pulses liveness records
+    over the pipe while the spec runs; the final result is sent under
+    the same lock, tagged ``{"type": "result", ...}`` so the parent can
+    split the streams.  The thread stops before the result is sent, so
+    no beat of this cell can trail its result into the next one.
+    """
     send_lock = threading.Lock()
     stop = _start_heartbeats(conn, send_lock, heartbeat_s) if heartbeat_s else None
     payload = execute_spec(spec_from_dict(spec_dict), wall_timeout_s)
@@ -287,6 +318,6 @@ def worker_main(conn, spec_dict: dict, wall_timeout_s=None, heartbeat_s=None) ->
                 stop.set()
                 payload = dict(payload, type="result")
             conn.send(payload)
-        conn.close()
-    except (BrokenPipeError, OSError):  # pragma: no cover - parent died
-        pass
+    except (BrokenPipeError, OSError):  # parent died
+        return False
+    return True
