@@ -28,12 +28,11 @@ Use :func:`repro.bots.registry.get_program` /
 """
 
 from repro.bots.common import BotsProgram, single_producer_region
-from repro.bots.registry import get_program, list_programs, PROGRAMS
+from repro.bots.registry import get_program, list_programs
 
 __all__ = [
     "BotsProgram",
     "single_producer_region",
     "get_program",
     "list_programs",
-    "PROGRAMS",
 ]

@@ -2,7 +2,10 @@
 
 :func:`get_program` builds a *fresh* program instance on every call --
 required because some kernels (sparselu, floorplan) mutate shared state
-in place during the run, so a program object is single-use.
+in place during the run, so a program object is single-use.  A kernel
+module is imported on the first :func:`get_program` for it, so only
+that kernel's runs pay for its imports (``fft``, ``sparselu`` and
+``strassen`` pull in numpy).
 
 The variant strings follow the paper's evaluation setup:
 
@@ -14,9 +17,10 @@ The variant strings follow the paper's evaluation setup:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+import importlib
+from types import ModuleType
+from typing import List
 
-from repro.bots import alignment, fft, fib, floorplan, health, nqueens, sort, sparselu, strassen, uts
 from repro.bots.common import BotsProgram
 
 #: kernels with a BOTS-provided cut-off version (paper Section V-A)
@@ -35,24 +39,9 @@ ALL_KERNELS = (
     "strassen",
 )
 
-ProgramFactory = Callable[..., BotsProgram]
-
 #: kernels beyond the paper's nine (extensions; excluded from the
 #: paper-reproduction benchmark sweeps)
 EXTRA_KERNELS = ("uts",)
-
-PROGRAMS: Dict[str, ProgramFactory] = {
-    "alignment": alignment.make_program,
-    "fft": fft.make_program,
-    "fib": fib.make_program,
-    "floorplan": floorplan.make_program,
-    "health": health.make_program,
-    "nqueens": nqueens.make_program,
-    "sort": sort.make_program,
-    "sparselu": sparselu.make_program,
-    "strassen": strassen.make_program,
-    "uts": uts.make_program,
-}
 
 
 def get_program(name: str, size: str = "small", variant: str = "optimized", **kwargs) -> BotsProgram:
@@ -68,9 +57,7 @@ def get_program(name: str, size: str = "small", variant: str = "optimized", **kw
 
     Extra keyword arguments go to the kernel's ``make_program``.
     """
-    factory = PROGRAMS.get(name)
-    if factory is None:
-        raise KeyError(f"unknown BOTS kernel {name!r}; available: {sorted(PROGRAMS)}")
+    factory = load_kernel(name).make_program
 
     if name == "sparselu":
         if variant == "optimized":
@@ -95,5 +82,12 @@ def get_program(name: str, size: str = "small", variant: str = "optimized", **kw
     )
 
 
+def load_kernel(name: str) -> ModuleType:
+    """Import (once) and return the module of kernel ``name``."""
+    if name not in ALL_KERNELS + EXTRA_KERNELS:
+        raise KeyError(f"unknown BOTS kernel {name!r}; available: {list_programs()}")
+    return importlib.import_module(f"repro.bots.{name}")
+
+
 def list_programs() -> List[str]:
-    return sorted(PROGRAMS)
+    return sorted(ALL_KERNELS + EXTRA_KERNELS)

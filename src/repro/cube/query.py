@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-import numpy as _np
-
 from repro.profiling.calltree import CallTreeNode
 from repro.profiling.profile import Profile
 
@@ -19,6 +17,9 @@ def _flat_by_handle(profile: Profile, include_stubs: bool):
     order (a sequential C fold), so the per-handle sums are bit-identical
     to a row-by-row dict fold.  Returns ``None`` for an empty profile.
     """
+    # imported on use: runs that never get here never load numpy
+    import numpy as _np
+
     handles, regions, exclusive, inclusive, visits = profile.flat_metric_columns(
         include_stubs
     )

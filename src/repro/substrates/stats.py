@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-import numpy as _np
-
 from repro.events.batch import (
     K_ENTER,
     K_METRIC,
@@ -69,6 +67,9 @@ class StatsSubstrate(Substrate):
         boundary and are not per-thread traffic), and a unique-count over
         the enters' region ids.
         """
+        # imported on use: runs that never get here never load numpy
+        import numpy as _np
+
         cd = _np.frombuffer(batch.codes, dtype=_np.int64)
         kinds = cd & KIND_MASK
         kind_counts = _np.bincount(kinds, minlength=K_METRIC + 1)

@@ -19,6 +19,9 @@ cold copy-on-write heap.  A worker that reports a completed cell
 outcome, a crash, a stall or a kill retires it, so the next cell -- and
 every retry -- gets a fresh process.  Idle workers are sent an exit
 sentinel and joined when ``run()`` ends, on every path out of it.
+Kernels load lazily (:mod:`repro.bots.registry`), so ``run()`` imports
+the kernel of each fault cell before the first fork, and no worker pays
+for that import (numpy, for some) on its first cell.
 
 On top of that crash-safety core sit the fabric layers
 (:mod:`repro.fabric`), each optional and inert by default:
@@ -206,6 +209,9 @@ class Supervisor:
             load_journal(self.journal_path)
             if self.resume and self.journal_path
             else JournalState()
+        )
+        _preload_kernels(
+            spec for spec in self.specs if spec.cell_id not in state.completed
         )
         results: Dict[str, CellResult] = {}
         attempts_seen: Dict[str, int] = dict(state.attempts)
@@ -843,6 +849,24 @@ class Supervisor:
                 signal.signal(signal.SIGINT, previous)
                 if previous_term is not None:
                     signal.signal(signal.SIGTERM, previous_term)
+
+
+def _preload_kernels(specs) -> None:
+    """Import the kernel of every fault cell here, before the first fork.
+
+    Forked workers, and every later cell of a reused one, inherit the
+    module (and numpy, for the kernels that use it) instead of each fresh
+    worker importing it on its first cell.  An unknown app is skipped: it
+    fails inside its own cell as an ``error`` result.  ``call`` targets
+    are still imported inside the worker.
+    """
+    from repro.bots.registry import list_programs, load_kernel
+
+    known = list_programs()
+    for spec in specs:
+        app = spec.params.get("app") if spec.kind == "fault" else None
+        if app in known:
+            load_kernel(app)
 
 
 def run_supervised(specs: Sequence[RunSpec], **kwargs) -> SupervisorReport:

@@ -38,8 +38,9 @@ def test_registry_lists_all_nine_kernels_plus_extras():
 
 
 def test_unknown_kernel_and_variant_rejected():
-    with pytest.raises(KeyError, match="unknown BOTS kernel"):
+    with pytest.raises(KeyError, match="unknown BOTS kernel") as excinfo:
         get_program("mandelbrot")
+    assert f"available: {list_programs()}" in str(excinfo.value)
     with pytest.raises(ValueError, match="unknown variant"):
         get_program("fib", variant="turbo")
 
