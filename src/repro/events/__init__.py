@@ -45,7 +45,6 @@ from repro.events.repair import (
     repair_stream,
     repair_streams,
 )
-from repro.events.replay import replay_events, replay_trace
 
 __all__ = [
     "Region",
@@ -73,6 +72,4 @@ __all__ = [
     "RepairResult",
     "repair_stream",
     "repair_streams",
-    "replay_events",
-    "replay_trace",
 ]

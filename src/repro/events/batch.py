@@ -73,29 +73,6 @@ def zigzag(value: int) -> int:
     return (value << 1) if value >= 0 else ((-value << 1) - 1)
 
 
-def pack_code(
-    kind: int,
-    thread_id: int,
-    region_id: int = 0,
-    instance: int = 0,
-    has_payload: bool = False,
-) -> int:
-    """Pack one event into a 64-bit code (the slow, validated builder).
-
-    The instrumentation layer inlines these shifts on its hot path; this
-    helper exists for tests and synthetic batch producers.
-    """
-    if not 0 <= thread_id <= TID_MASK:
-        raise ValueError(f"thread id {thread_id} exceeds {TID_MASK}")
-    if not 0 <= region_id <= RID_MASK:
-        raise ValueError(f"region id {region_id} exceeds {RID_MASK}")
-    code = kind | (thread_id << TID_SHIFT) | (region_id << RID_SHIFT)
-    code |= zigzag(instance) << INST_SHIFT
-    if has_payload:
-        code |= F_PAYLOAD
-    return code
-
-
 class EventBatch:
     """A reusable struct-of-arrays buffer of packed measurement events.
 
@@ -133,7 +110,7 @@ class EventBatch:
         self.counted = 0
 
     # -- per-event appenders -------------------------------------------
-    # Convenience builders for tests, benchmarks and synthetic streams.
+    # Builders for trace salvage, tests, benchmarks and synthetic streams.
     # The instrumentation layer does NOT call these: it inlines the
     # appends so filling stays one frame per event.
     def add_enter(

@@ -9,7 +9,7 @@ region registry.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, List, Optional, Sequence, Type
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Type
 
 from repro.events.model import (
     AnyEvent,
@@ -49,10 +49,10 @@ class EventStream:
     def append_unchecked(self, event: AnyEvent) -> None:
         """Append without consistency checks.
 
-        Only the fault-injection path uses this: injected clock skew and
-        reordering deliberately violate the monotonicity that
-        :meth:`append` enforces, and the salvage pipeline repairs the
-        stream afterwards.
+        Only stream faults use this (the tracing substrate stores an
+        injector's output through it): injected clock skew and reordering
+        deliberately violate the monotonicity that :meth:`append`
+        enforces, and the salvage pipeline repairs the stream afterwards.
         """
         self._events.append(event)
 
@@ -122,48 +122,30 @@ class ProgramTrace:
     def record(self, event: AnyEvent) -> None:
         self.streams[event.thread_id].append(event)
 
-    def attach_injector(self, injector) -> None:
-        """Route future :meth:`record` calls through a fault injector.
-
-        Shadows ``record`` with an instance attribute so the disarmed
-        path stays byte-identical (no per-event flag check): when no
-        injector is attached, recording costs exactly what it did before
-        this hook existed.  The injector's ``on_record(event)`` returns
-        the events to actually store -- possibly none (drop), several
-        (duplicate), or perturbed copies (clock skew) -- which are
-        appended unchecked because perturbed timestamps may legitimately
-        violate per-stream monotonicity.
-        """
-        streams = self.streams
-
-        def record(event: AnyEvent) -> None:
-            for out in injector.on_record(event):
-                streams[out.thread_id].append_unchecked(out)
-
-        self.record = record  # type: ignore[method-assign]
-
-    def detach_injector(self) -> None:
-        """Undo :meth:`attach_injector` (restores the class method)."""
-        self.__dict__.pop("record", None)
-
     def total_events(self) -> int:
         return sum(len(s) for s in self.streams)
 
     def merged(self) -> List[AnyEvent]:
-        """All events of all threads in global timestamp order.
-
-        Ties are broken by thread id, then original position, which is
-        deterministic because per-stream order is already total.
-        """
-        indexed: List[tuple] = []
-        for stream in self.streams:
-            for position, event in enumerate(stream):
-                indexed.append((event.time, event.thread_id, position, event))
-        indexed.sort(key=lambda item: (item[0], item[1], item[2]))
-        return [item[3] for item in indexed]
+        """All events of all threads in global timestamp order."""
+        return merge_streams(self.streams)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<ProgramTrace threads={self.n_threads} events={self.total_events()}>"
+
+
+def merge_streams(streams: Iterable[Iterable[AnyEvent]]) -> List[AnyEvent]:
+    """The events of per-thread ``streams`` in global timestamp order.
+
+    Ties are broken by thread id, then position within the stream, which
+    is deterministic because per-stream order is already total.  Both
+    :meth:`ProgramTrace.merged` and trace salvage order events this way.
+    """
+    indexed: List[tuple] = []
+    for stream in streams:
+        for position, event in enumerate(stream):
+            indexed.append((event.time, event.thread_id, position, event))
+    indexed.sort(key=lambda item: (item[0], item[1], item[2]))
+    return [item[3] for item in indexed]
 
 
 def stream_from_events(events: Sequence[AnyEvent], thread_id: int = 0) -> EventStream:

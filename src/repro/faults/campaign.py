@@ -3,8 +3,9 @@
 ``run_tolerant`` is the graceful-degradation entry point: run a BOTS
 kernel with (optionally) a fault plan armed, and *always* come back with
 a profile -- the live one when the run was healthy, or a partial profile
-rebuilt offline (repair the recorded event streams, replay them through
-a lenient :class:`~repro.profiling.task_profiler.TaskProfiler`) when the
+rebuilt offline (repair the recorded event streams, feed them as one
+event batch to a lenient
+:class:`~repro.profiling.task_profiler.TaskProfiler`) when the
 run crashed, hung, or produced a corrupt trace.  The attached
 :class:`~repro.profiling.salvage.SalvageReport` says exactly how much
 was lost.
@@ -22,10 +23,19 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.bots.registry import get_program
 from repro.errors import CampaignInterrupted, ReproError, WatchdogTimeout
+from repro.events.batch import EventBatch
+from repro.events.model import (
+    EnterEvent,
+    ExitEvent,
+    TaskBeginEvent,
+    TaskCreateBeginEvent,
+    TaskCreateEndEvent,
+    TaskEndEvent,
+    TaskSwitchEvent,
+)
 from repro.events.regions import RegionType
 from repro.events.repair import repair_streams
-from repro.events.replay import replay_trace
-from repro.events.stream import ProgramTrace
+from repro.events.stream import ProgramTrace, merge_streams
 from repro.events.validate import collect_trace_violations
 from repro.faults.plan import FAULT_MODES, FaultPlan, plan_for_mode
 from repro.profiling.profile import Profile
@@ -47,17 +57,42 @@ def salvage_profile_from_trace(
 ) -> Tuple[Profile, SalvageReport]:
     """Repair a (possibly corrupt, possibly truncated) trace and rebuild.
 
-    Per-thread streams are repaired offline, then replayed in global
-    order through a lenient profiler.  Returns the partial profile and
-    its salvage report (also reachable as ``profile.salvage``).
+    Per-thread streams are repaired offline, merged into global order and
+    packed into one :class:`~repro.events.batch.EventBatch`, which a
+    lenient profiler consumes exactly as it would a live batch
+    (task-creation brackets become plain enter/exit, as the live path
+    records them).  The profiler then finishes at ``finish_time``, or
+    else at the last event's time.  Returns the partial profile and its
+    salvage report (also reachable as ``profile.salvage``).
     """
     streams = {s.thread_id: list(s) for s in trace.streams}
     repaired, repair_log = repair_streams(streams)
+    events = merge_streams(repaired[t] for t in sorted(repaired))
+    batch = EventBatch(trace.registry)
+    for event in events:
+        if isinstance(event, EnterEvent):
+            batch.add_enter(event.thread_id, event.region, event.time, event.parameter)
+        elif isinstance(event, (ExitEvent, TaskCreateEndEvent)):
+            batch.add_exit(event.thread_id, event.region, event.time)
+        elif isinstance(event, TaskCreateBeginEvent):
+            batch.add_enter(event.thread_id, event.region, event.time)
+        elif isinstance(event, TaskBeginEvent):
+            batch.add_task_begin(
+                event.thread_id, event.region, event.instance, event.time,
+                event.parameter,
+            )
+        elif isinstance(event, TaskEndEvent):
+            batch.add_task_end(event.thread_id, event.region, event.instance, event.time)
+        elif isinstance(event, TaskSwitchEvent):
+            batch.add_task_switch(event.thread_id, event.instance, event.time)
     profiler = TaskProfiler(
         trace.n_threads, implicit_region, start_time=start_time, strict=False
     )
     profiler.salvage.absorb_repair(repair_log)
-    replay_trace(repaired, profiler, finish_time=finish_time)
+    profiler.on_batch(batch)
+    if finish_time is None:
+        finish_time = events[-1].time if events else 0.0
+    profiler.on_finish(finish_time)
     return profiler.build_profile(), profiler.salvage
 
 
@@ -110,6 +145,49 @@ def _fold_governor(report: Optional[SalvageReport], runtime) -> Optional[dict]:
     ):
         report.pressure_incidents.extend(i.to_dict() for i in governor.incidents)
     return governor.report()
+
+
+def _fault_summary(runtime) -> Optional[str]:
+    injector = runtime.fault_injector
+    return injector.summary() if injector is not None else None
+
+
+def _salvage(
+    app: str,
+    runtime,
+    implicit_region,
+    config: RuntimeConfig,
+    exc: Optional[ReproError] = None,
+    violations: Sequence = (),
+    duration: Optional[float] = None,
+    verified: Optional[bool] = None,
+) -> SalvageOutcome:
+    """The partial outcome rebuilt from ``runtime``'s recorded trace.
+
+    ``exc`` is the error that aborted the run; ``violations`` are the
+    trace violations of a run that completed (the first 20 become report
+    notes), ``duration`` and ``verified`` its live results.  With no
+    trace recorded there is nothing to rebuild: the outcome carries the
+    report alone.
+    """
+    profile: Optional[Profile] = None
+    if runtime.trace is None:
+        report = SalvageReport()
+    else:
+        profile, report = salvage_profile_from_trace(
+            runtime.trace, implicit_region, finish_time=runtime.env.now
+        )
+    report.fault_summary = _fault_summary(runtime)
+    if exc is not None:
+        report.run_error = f"{type(exc).__name__}: {exc}"
+        report.watchdog_fired = isinstance(exc, WatchdogTimeout)
+    for violation in violations[:20]:
+        report.note(f"trace violation: {violation.message}")
+    return SalvageOutcome(
+        app=app, status="partial", profile=profile, salvage=report,
+        duration=duration, verified=verified, error=report.run_error,
+        config=config, governor_report=_fold_governor(report, runtime),
+    )
 
 
 def run_tolerant(
@@ -190,40 +268,12 @@ def run_tolerant(
     implicit_region = runtime.registry.register(
         program.label, RegionType.IMPLICIT_TASK
     )
-    injector = runtime.fault_injector
-    fault_summary = None
-
     try:
         result = runtime.parallel(program.body, name=program.label)
     except ReproError as exc:
         # The live run died (injected exception, watchdog, deadlock...).
         # Whatever events made it into the trace are the salvage input.
-        if injector is not None:
-            fault_summary = injector.summary()
-        trace = runtime.trace
-        if trace is None:
-            report = SalvageReport(fault_summary=fault_summary)
-            report.run_error = f"{type(exc).__name__}: {exc}"
-            report.watchdog_fired = isinstance(exc, WatchdogTimeout)
-            return SalvageOutcome(
-                app=name, status="partial", profile=None, salvage=report,
-                error=report.run_error, config=config,
-                governor_report=_fold_governor(report, runtime),
-            )
-        profile, report = salvage_profile_from_trace(
-            trace, implicit_region, finish_time=runtime.env.now
-        )
-        report.fault_summary = fault_summary
-        report.run_error = f"{type(exc).__name__}: {exc}"
-        report.watchdog_fired = isinstance(exc, WatchdogTimeout)
-        return SalvageOutcome(
-            app=name, status="partial", profile=profile, salvage=report,
-            error=report.run_error, config=config,
-            governor_report=_fold_governor(report, runtime),
-        )
-
-    if injector is not None:
-        fault_summary = injector.summary()
+        return _salvage(name, runtime, implicit_region, config, exc=exc)
 
     # The run completed.  If the recorded trace is inconsistent (stream
     # faults fired), the *live* profile is fine but trace-derived tooling
@@ -232,23 +282,14 @@ def run_tolerant(
     trace = runtime.trace
     violations = collect_trace_violations(trace) if trace is not None else []
     if violations:
-        profile, report = salvage_profile_from_trace(
-            trace, implicit_region, finish_time=runtime.env.now
-        )
-        report.fault_summary = fault_summary
-        for violation in violations[:20]:
-            report.note(f"trace violation: {violation.message}")
-        return SalvageOutcome(
-            app=name,
-            status="partial",
-            profile=profile,
-            salvage=report,
+        return _salvage(
+            name, runtime, implicit_region, config,
+            violations=violations,
             duration=result.duration,
             verified=program.verify(result),
-            config=config,
-            governor_report=_fold_governor(report, runtime),
         )
 
+    fault_summary = _fault_summary(runtime)
     profile = result.profile
     if profile is not None and profile.salvage is None and fault_summary:
         profile.salvage = SalvageReport(fault_summary=fault_summary)

@@ -10,8 +10,9 @@ fail:
 * **Stream faults** hit the recorded trace: events are dropped,
   duplicated, emitted out of order, time-shifted, or cut off entirely,
   while the live run itself stays healthy.  This models trace-buffer
-  overruns and clock drift, and is applied at record time through
-  :meth:`~repro.events.stream.ProgramTrace.attach_injector`.
+  overruns and clock drift, and is applied at record time by the
+  :class:`~repro.substrates.tracing.TracingSubstrate` the runtime hands
+  the injector to.
 
 Both surfaces draw from child RNGs of the plan seed, so the same plan
 perturbs the same run identically every time.
@@ -86,7 +87,7 @@ class FaultInjector:
         )
 
     # ------------------------------------------------------------------
-    # Stream faults (called through ProgramTrace.attach_injector)
+    # Stream faults (called by the tracing substrate)
     # ------------------------------------------------------------------
     def on_record(self, event: AnyEvent) -> Tuple[AnyEvent, ...]:
         """Map one recorded event to the events actually stored."""

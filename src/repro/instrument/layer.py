@@ -71,7 +71,7 @@ class InstrumentationLayer:
         "enabled",
         "per_event_cost",
         "listener",
-        "events_dispatched",
+        "_flushed",
         "filter",
         "batch",
         "flush_threshold",
@@ -100,8 +100,8 @@ class InstrumentationLayer:
         #: ``enabled`` after construction behaves correctly.
         self.per_event_cost = per_event_cost
         self.listener = listener
-        #: total events measured (statistics for the overhead analysis)
-        self.events_dispatched = 0
+        #: counted events already handed to the listener
+        self._flushed = 0
         #: optional RegionFilter suppressing enter/exit events (Score-P
         #: filtering); task lifecycle events are never filtered
         self.filter = region_filter
@@ -114,6 +114,12 @@ class InstrumentationLayer:
     def cost(self) -> float:
         """Virtual µs the executing thread pays per event (0 if disabled)."""
         return self.per_event_cost if self.enabled else 0.0
+
+    @property
+    def events_dispatched(self) -> int:
+        """Total events measured (statistics for the overhead analysis):
+        the flushed ones plus those still pending in the batch."""
+        return self._flushed + self.batch.counted
 
     def region_cost(self, region: Region) -> float:
         """Per-event cost for a region event, honoring the filter."""
@@ -129,6 +135,7 @@ class InstrumentationLayer:
         batch = self.batch
         if batch.codes:
             self.listener.on_batch(batch)
+            self._flushed += batch.counted
             batch.clear()
 
     def sched_point(self) -> None:
@@ -147,7 +154,6 @@ class InstrumentationLayer:
         if self.filter is not None and not self.filter.measures(region):
             self.filter.note_suppressed()
             return
-        self.events_dispatched += 1
         batch = self.batch
         code = K_ENTER | (thread_id << TID_SHIFT) | (region.handle << RID_SHIFT)
         if parameter is not None:
@@ -168,7 +174,6 @@ class InstrumentationLayer:
         if self.filter is not None and not self.filter.measures(region):
             self.filter.note_suppressed()
             return
-        self.events_dispatched += 1
         batch = self.batch
         batch.codes.append(
             K_EXIT | (thread_id << TID_SHIFT) | (region.handle << RID_SHIFT)
@@ -188,7 +193,6 @@ class InstrumentationLayer:
     ) -> None:
         if not self.enabled:
             return
-        self.events_dispatched += 1
         batch = self.batch
         code = (
             K_TASK_BEGIN
@@ -211,7 +215,6 @@ class InstrumentationLayer:
     ) -> None:
         if not self.enabled:
             return
-        self.events_dispatched += 1
         batch = self.batch
         batch.codes.append(
             K_TASK_END
@@ -228,7 +231,6 @@ class InstrumentationLayer:
     def task_switch(self, thread_id: int, instance: InstanceId, time: float) -> None:
         if not self.enabled:
             return
-        self.events_dispatched += 1
         batch = self.batch
         batch.codes.append(
             K_TASK_SWITCH | (thread_id << TID_SHIFT) | (zigzag(instance) << 34)

@@ -9,10 +9,11 @@ the per-thread logic lives in :class:`~repro.runtime.thread.WorkerThread`.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from repro.errors import RuntimeModelError, WatchdogTimeout
+from repro.errors import ReproError, RuntimeModelError, WatchdogTimeout
 from repro.events.regions import Region, RegionRegistry, RegionType
 from repro.events.stream import ProgramTrace
 from repro.instrument.layer import InstrumentationLayer
@@ -277,9 +278,10 @@ class OpenMPRuntime:
     def _setup_substrates(self, implicit_region: Region):
         """Build and initialize the run's substrate manager (or ``None``).
 
-        Also re-exposes the two classic consumers as :attr:`profiler` and
-        :attr:`trace` so downstream code (fault injection, salvage,
-        analysis) keeps working unchanged.
+        Hands the governor and the stream-fault injector to the
+        substrates that use them, and re-exposes the two classic
+        consumers as :attr:`profiler` and :attr:`trace` so downstream
+        code (salvage, analysis) keeps working unchanged.
         """
         substrates = self._resolve_substrates()
         if not substrates:
@@ -294,6 +296,12 @@ class OpenMPRuntime:
         ):
             # An armed governor always reports through its substrate.
             substrates.append(GovernorSubstrate())
+        injector = self.fault_injector
+        stream_faults = (
+            injector
+            if injector is not None and injector.plan.wants_stream_faults
+            else None
+        )
         for substrate in substrates:
             # The config-level depth limit applies unless the substrate
             # was constructed with an explicit one.
@@ -305,6 +313,12 @@ class OpenMPRuntime:
             elif isinstance(substrate, GovernorSubstrate):
                 if substrate.governor is None:
                     substrate.governor = self.governor
+            elif isinstance(substrate, TracingSubstrate):
+                # Stream faults hit the recorded trace once: the first
+                # tracing substrate applies them, any other records
+                # faithfully.
+                substrate.injector = stream_faults
+                stream_faults = None
         manager = SubstrateManager(substrates)
         manager.initialize(
             self.registry, self.config.n_threads, self.env.now, implicit_region
@@ -375,14 +389,6 @@ class OpenMPRuntime:
             )
             self.instr.phase_begin(name)
 
-        injector = self.fault_injector
-        if (
-            injector is not None
-            and self.trace is not None
-            and injector.plan.wants_stream_faults
-        ):
-            self.trace.attach_injector(injector)
-
         # Team setup: one implicit task + worker per thread.
         implicit_tasks = [
             TaskInstance(
@@ -401,25 +407,26 @@ class OpenMPRuntime:
 
         start = self.env.now
         watchdog = self.config.watchdog_us
-        if watchdog is None:
-            self.env.run()
-        else:
-            self.env.run(until=start + watchdog)
-            if self.env.pending():
-                raise WatchdogTimeout(
-                    f"parallel region {name!r} exceeded its watchdog deadline "
-                    f"of {watchdog:g} virtual µs with {self.env.pending()} "
-                    f"event(s) still queued (blocked: {self.env.blocked_report()})"
-                )
+        try:
+            if watchdog is None:
+                self.env.run()
+            else:
+                self.env.run(until=start + watchdog)
+                if self.env.pending():
+                    raise WatchdogTimeout(
+                        f"parallel region {name!r} exceeded its watchdog "
+                        f"deadline of {watchdog:g} virtual µs with "
+                        f"{self.env.pending()} event(s) still queued "
+                        f"(blocked: {self.env.blocked_report()})"
+                    )
+        except ReproError:
+            # An aborted run is salvaged from what the substrates saw:
+            # hand them the events still in the unflushed batch.  The
+            # run's own error is the one that propagates.
+            with contextlib.suppress(Exception):
+                self.instr.flush()
+            raise
         duration = self.env.now - start
-
-        if injector is not None and self.trace is not None:
-            # Events still withheld for reordering surface at the end --
-            # after the final batch drains, so they land behind every
-            # recorded event.
-            self.instr.flush()
-            for event in injector.drain():
-                self.trace.streams[event.thread_id].append_unchecked(event)
 
         if self.outstanding_tasks != 0:  # pragma: no cover - invariant
             raise RuntimeModelError(
@@ -483,8 +490,8 @@ class OpenMPRuntime:
                     {"substrates": substrate_report} if substrate_report else {}
                 ),
                 **(
-                    {"fault_injection": injector.summary()}
-                    if injector is not None
+                    {"fault_injection": self.fault_injector.summary()}
+                    if self.fault_injector is not None
                     else {}
                 ),
                 **(

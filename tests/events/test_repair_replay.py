@@ -8,18 +8,21 @@ from repro.errors import StreamRepairError
 from repro.events import (
     EnterEvent,
     ExitEvent,
+    ProgramTrace,
     RegionRegistry,
     RegionType,
     TaskBeginEvent,
+    TaskCreateBeginEvent,
+    TaskCreateEndEvent,
     TaskEndEvent,
     TaskSwitchEvent,
     repair_stream,
     repair_streams,
-    replay_events,
-    replay_trace,
 )
 from repro.events.model import implicit_instance_id
 from repro.events.validate import collect_task_stream_violations
+from repro.faults import campaign
+from repro.profiling.task_profiler import TaskProfiler
 
 IMPL = implicit_instance_id(0)
 
@@ -141,55 +144,54 @@ def test_repair_streams_merges_per_thread_logs(regions):
     assert log.events_in == 2 and log.events_out == 0
 
 
-class _CallRecorder:
-    def __init__(self):
-        self.calls = []
+def test_replay_dispatches_in_order_and_finishes(monkeypatch):
+    """Salvage hands the lenient profiler the repaired trace as one batch
+    in global order -- ties by thread id, then stream position; create
+    brackets as plain enter/exit -- then finishes at the last event's
+    time, or at ``finish_time`` when given."""
+    reg = RegionRegistry()
+    implicit = reg.register("parallel", RegionType.IMPLICIT_TASK)
+    foo = reg.register("foo", RegionType.FUNCTION)
+    task = reg.register("taskA", RegionType.TASK)
+    create = reg.register("create@taskA", RegionType.TASK_CREATE)
+    trace = ProgramTrace(2, reg)
+    for event in (
+        EnterEvent(0, 0.0, IMPL, foo),
+        TaskCreateBeginEvent(0, 1.0, IMPL, create, created_instance=1),
+        TaskCreateEndEvent(0, 1.0, IMPL, create, created_instance=1),
+        ExitEvent(0, 4.0, IMPL, foo),
+        TaskBeginEvent(1, 1.0, 1, task, instance=1),
+        TaskEndEvent(1, 2.0, 1, task, instance=1),
+    ):
+        trace.record(event)
 
-    def on_enter(self, thread_id, region, time, parameter=None):
-        self.calls.append(("enter", thread_id, region.name, time))
+    calls = []
 
-    def on_exit(self, thread_id, region, time):
-        self.calls.append(("exit", thread_id, region.name, time))
+    def recording_profiler(*args, **kwargs):
+        profiler = TaskProfiler(*args, **kwargs)
+        for kind in ("enter", "exit", "task_begin", "task_end", "task_switch", "finish"):
+            handler = getattr(profiler, f"on_{kind}")
 
-    def on_task_begin(self, thread_id, region, instance, time, parameter=None):
-        self.calls.append(("task_begin", thread_id, instance, time))
+            def record(*call, _kind=kind, _handler=handler):
+                calls.append((_kind,) + tuple(getattr(a, "name", a) for a in call))
+                _handler(*call)
 
-    def on_task_end(self, thread_id, region, instance, time):
-        self.calls.append(("task_end", thread_id, instance, time))
+            setattr(profiler, f"on_{kind}", record)
+        return profiler
 
-    def on_task_switch(self, thread_id, instance, time):
-        self.calls.append(("task_switch", thread_id, instance, time))
-
-    def on_finish(self, time):
-        self.calls.append(("finish", time))
-
-
-def test_replay_dispatches_in_order_and_finishes(regions):
-    listener = _CallRecorder()
-    end = replay_events(clean_stream(regions), listener)
-    assert end == 3.0
-    assert listener.calls == [
-        ("enter", 0, "foo", 0.0),
-        ("task_begin", 0, 1, 1.0),
-        ("task_end", 0, 1, 2.0),
-        ("exit", 0, "foo", 3.0),
-        ("finish", 3.0),
+    monkeypatch.setattr(campaign, "TaskProfiler", recording_profiler)
+    _, report = campaign.salvage_profile_from_trace(trace, implicit)
+    assert calls == [
+        ("enter", 0, "foo", 0.0, None),
+        ("enter", 0, "create@taskA", 1.0, None),
+        ("exit", 0, "create@taskA", 1.0),
+        ("task_begin", 1, "taskA", 1, 1.0, None),
+        ("task_end", 1, "taskA", 1, 2.0),
+        ("exit", 0, "foo", 4.0),
+        ("finish", 4.0),
     ]
+    assert (report.events_dropped, report.events_repaired) == (0, 0)
 
-
-def test_replay_trace_merges_thread_streams(regions):
-    impl1 = implicit_instance_id(1)
-    streams = {
-        0: [
-            EnterEvent(0, 0.0, IMPL, regions["foo"]),
-            ExitEvent(0, 4.0, IMPL, regions["foo"]),
-        ],
-        1: [
-            EnterEvent(1, 1.0, impl1, regions["foo"]),
-            ExitEvent(1, 2.0, impl1, regions["foo"]),
-        ],
-    }
-    listener = _CallRecorder()
-    replay_trace(streams, listener, finish_time=10.0)
-    times = [call[-1] for call in listener.calls]
-    assert times == [0.0, 1.0, 2.0, 4.0, 10.0]
+    calls.clear()
+    campaign.salvage_profile_from_trace(trace, implicit, finish_time=10.0)
+    assert calls[-1] == ("finish", 10.0)

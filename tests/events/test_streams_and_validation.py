@@ -16,7 +16,7 @@ from repro.events import (
     validate_task_stream,
 )
 from repro.events.model import implicit_instance_id
-from repro.events.stream import ProgramTrace, stream_from_events
+from repro.events.stream import ProgramTrace, merge_streams, stream_from_events
 from repro.events.validate import validate_program_trace
 
 
@@ -166,6 +166,14 @@ def test_program_trace_merged_is_time_ordered(regions):
     merged = trace.merged()
     assert [e.time for e in merged] == [0.0, 0.5, 1.5, 2.0]
     assert trace.total_events() == 4
+    # Ties break by thread id, then stream position -- whatever order the
+    # streams come in.  Salvage merges repaired streams the same way.
+    impl1 = implicit_instance_id(1)
+    a = EnterEvent(0, 1.0, IMPL, regions["main"])
+    b = ExitEvent(0, 1.0, IMPL, regions["main"])
+    c = EnterEvent(1, 1.0, impl1, regions["main"])
+    d = ExitEvent(1, 0.5, impl1, regions["main"])
+    assert merge_streams([[c, d], [a, b]]) == [d, a, b, c]
 
 
 def test_program_trace_validation_catches_unended_instance(regions):

@@ -9,6 +9,7 @@ while strict mode keeps raising the precise error type.
 import pytest
 
 from repro.analysis.experiment import run_app
+from repro.bots.registry import get_program
 from repro.errors import (
     CampaignInterrupted,
     FaultInjectionError,
@@ -18,6 +19,9 @@ from repro.errors import (
 from repro.events.validate import validate_program_trace
 from repro.faults import plan_for_mode, run_campaign, run_tolerant
 from repro.faults.campaign import campaign_table
+from repro.runtime.config import RuntimeConfig
+from repro.runtime.runtime import OpenMPRuntime
+from repro.substrates.base import Substrate
 
 
 def test_healthy_tolerant_run_is_complete():
@@ -67,6 +71,42 @@ def test_stuck_task_trips_the_watchdog():
     assert outcome.status == "partial" and outcome.ok
     assert outcome.salvage.watchdog_fired
     assert "WatchdogTimeout" in outcome.salvage.run_error
+
+
+@pytest.mark.parametrize(
+    "mode,error",
+    [("task_exception", FaultInjectionError), ("stuck_task", WatchdogTimeout)],
+)
+def test_aborted_run_hands_its_pending_events_to_the_substrates(mode, error):
+    """Events still in the unflushed batch when a run aborts reach the
+    trace, so salvage starts from every event that was measured."""
+    program = get_program("fib", size="test")
+    runtime = OpenMPRuntime(RuntimeConfig(
+        n_threads=2, seed=0, record_events=True, watchdog_us=1e5,
+        fault_plan=plan_for_mode(mode, seed=0),
+    ))
+    with pytest.raises(error):
+        runtime.parallel(program.body, name=program.label)
+    assert runtime.instr.events_dispatched > 0
+    assert runtime.trace.total_events() == runtime.instr.events_dispatched
+
+
+class _BrokenConsumer(Substrate):
+    name = "broken"
+    essential = True
+
+    def on_batch(self, batch):
+        raise RuntimeError("consumer broke")
+
+
+def test_abort_flush_failure_does_not_mask_the_run_error():
+    program = get_program("fib", size="test")
+    runtime = OpenMPRuntime(RuntimeConfig(
+        n_threads=2, seed=0, substrates=("profiling", _BrokenConsumer()),
+        fault_plan=plan_for_mode("task_exception", seed=0),
+    ))
+    with pytest.raises(FaultInjectionError, match="plan seed 0"):
+        runtime.parallel(program.body, name=program.label)
 
 
 def test_strict_mode_raises_the_precise_fault_error():

@@ -98,8 +98,6 @@ PROMISED = {
         "repair_stream",
         "repair_streams",
         "RepairLog",
-        "replay_events",
-        "replay_trace",
     ],
     "repro.faults": [
         "FaultPlan",
