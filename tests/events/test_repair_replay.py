@@ -144,6 +144,27 @@ def test_repair_streams_merges_per_thread_logs(regions):
     assert log.events_in == 2 and log.events_out == 0
 
 
+def _record_salvage_calls(monkeypatch):
+    """Make salvage build a profiler that logs each handler call it gets;
+    return the (live) list of calls."""
+    calls = []
+
+    def recording_profiler(*args, **kwargs):
+        profiler = TaskProfiler(*args, **kwargs)
+        for kind in ("enter", "exit", "task_begin", "task_end", "task_switch", "finish"):
+            handler = getattr(profiler, f"on_{kind}")
+
+            def record(*call, _kind=kind, _handler=handler):
+                calls.append((_kind,) + tuple(getattr(a, "name", a) for a in call))
+                _handler(*call)
+
+            setattr(profiler, f"on_{kind}", record)
+        return profiler
+
+    monkeypatch.setattr(campaign, "TaskProfiler", recording_profiler)
+    return calls
+
+
 def test_replay_dispatches_in_order_and_finishes(monkeypatch):
     """Salvage hands the lenient profiler the repaired trace as one batch
     in global order -- ties by thread id, then stream position; create
@@ -165,21 +186,7 @@ def test_replay_dispatches_in_order_and_finishes(monkeypatch):
     ):
         trace.record(event)
 
-    calls = []
-
-    def recording_profiler(*args, **kwargs):
-        profiler = TaskProfiler(*args, **kwargs)
-        for kind in ("enter", "exit", "task_begin", "task_end", "task_switch", "finish"):
-            handler = getattr(profiler, f"on_{kind}")
-
-            def record(*call, _kind=kind, _handler=handler):
-                calls.append((_kind,) + tuple(getattr(a, "name", a) for a in call))
-                _handler(*call)
-
-            setattr(profiler, f"on_{kind}", record)
-        return profiler
-
-    monkeypatch.setattr(campaign, "TaskProfiler", recording_profiler)
+    calls = _record_salvage_calls(monkeypatch)
     _, report = campaign.salvage_profile_from_trace(trace, implicit)
     assert calls == [
         ("enter", 0, "foo", 0.0, None),
@@ -195,3 +202,25 @@ def test_replay_dispatches_in_order_and_finishes(monkeypatch):
     calls.clear()
     campaign.salvage_profile_from_trace(trace, implicit, finish_time=10.0)
     assert calls[-1] == ("finish", 10.0)
+
+
+def test_replay_trace_merges_thread_streams(monkeypatch):
+    """Salvage interleaves the per-thread streams by time before the
+    profiler sees them, and finishes at ``finish_time``."""
+    impl1 = implicit_instance_id(1)
+    reg = RegionRegistry()
+    implicit = reg.register("parallel", RegionType.IMPLICIT_TASK)
+    foo = reg.register("foo", RegionType.FUNCTION)
+    trace = ProgramTrace(2, reg)
+    for event in (
+        EnterEvent(0, 0.0, IMPL, foo),
+        ExitEvent(0, 4.0, IMPL, foo),
+        EnterEvent(1, 1.0, impl1, foo),
+        ExitEvent(1, 2.0, impl1, foo),
+    ):
+        trace.record(event)
+    calls = _record_salvage_calls(monkeypatch)
+    campaign.salvage_profile_from_trace(trace, implicit, finish_time=10.0)
+    times = [call[-1] if call[0] != "enter" else call[-2] for call in calls]
+    assert times == [0.0, 1.0, 2.0, 4.0, 10.0]
+    assert [call[1] for call in calls[:-1]] == [0, 1, 1, 0]
