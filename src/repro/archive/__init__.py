@@ -51,6 +51,7 @@ from repro.archive.store import (
     GcStats,
     canonical_profile_bytes,
     content_hash,
+    profile_dict_hash,
 )
 from repro.errors import ArchiveLockTimeout
 
@@ -81,4 +82,5 @@ __all__ = [
     "latest_baseline",
     "meta_for_outcome",
     "meta_for_result",
+    "profile_dict_hash",
 ]

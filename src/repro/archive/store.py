@@ -55,14 +55,23 @@ QUARANTINE_DIR = "quarantine"
 GZIP_MAGIC = b"\x1f\x8b"
 
 
-def canonical_profile_bytes(profile) -> bytes:
-    """The canonical serialized form content addresses are computed on."""
-    data = profile_to_dict(profile)
+def _canonical_json(data: dict) -> bytes:
     return json.dumps(data, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
+def canonical_profile_bytes(profile) -> bytes:
+    """The canonical serialized form content addresses are computed on."""
+    return _canonical_json(profile_to_dict(profile))
+
+
+def profile_dict_hash(data: dict) -> str:
+    """Content address of an already-serialized profile dict (the output
+    of :func:`profile_to_dict`), for callers that keep the dict."""
+    return hashlib.sha256(_canonical_json(data)).hexdigest()
+
+
 def content_hash(profile) -> str:
-    return hashlib.sha256(canonical_profile_bytes(profile)).hexdigest()
+    return profile_dict_hash(profile_to_dict(profile))
 
 
 @dataclass

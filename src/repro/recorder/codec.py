@@ -17,6 +17,15 @@ self-contained -- replay needs nothing but the bytes.
 Records are plain tuples (``(kind, ...)``) rather than event classes:
 the hot path appends one tuple per event and all encoding happens in
 batches when a chunk is sealed (:mod:`repro.recorder.chunks`).
+
+Both directions inline the common shape of the five task/region kinds
+(``enter``, ``exit``, ``task_begin``, ``task_end``, ``task_switch``):
+one-byte thread and region ids, an instance id of one or two varint
+bytes, no parameter.  The decoder also requires the region to be
+defined already and the whole record to lie inside the payload.  Wider
+ids, longer instance varints, parameters, undefined regions, cut-short
+records and every other kind fall through to the checked per-field
+helpers, which hold every :class:`~repro.errors.RecordingError`.
 """
 
 from __future__ import annotations
@@ -58,6 +67,7 @@ def encode_varint(value: int, out: bytearray) -> None:
 
 
 def decode_varint(data: bytes, offset: int) -> Tuple[int, int]:
+    """Unsigned LEB128; values of 2**64 or more are rejected."""
     value = 0
     shift = 0
     while True:
@@ -67,6 +77,8 @@ def decode_varint(data: bytes, offset: int) -> Tuple[int, int]:
         offset += 1
         value |= (byte & 0x7F) << shift
         if not byte & 0x80:
+            if value >> 64:
+                raise RecordingError("varint longer than 64 bits")
             return value, offset
         shift += 7
         if shift > 63:
@@ -347,13 +359,116 @@ class RecordDecoder:
     def decode(self, payload: bytes) -> List[tuple]:
         """Decode one chunk payload; raises :class:`RecordingError` on
         any malformed content (the CRC should have caught real tearing,
-        so a decode failure means corruption-past-the-CRC or a bug)."""
+        so a decode failure means corruption-past-the-CRC or a bug).
+
+        The five task/region kinds inline their common case, mirroring
+        :meth:`RecordEncoder.encode`: one-byte thread and region ids, an
+        instance varint of one or two bytes, no parameter, a region
+        already defined, and the whole record inside the payload.  Every
+        other shape -- wider ids or instance varints, a parameter, an
+        undefined region, a cut-short record, and every other kind --
+        falls through to the checked per-field decode, so each
+        :class:`RecordingError` keeps a single definition.
+        """
         records: List[tuple] = []
+        append = records.append
+        regions_get = self._regions.get
+        unpack_time = _DOUBLE.unpack_from
         offset = 0
         data = payload
-        while offset < len(data):
+        size = len(data)
+        while offset < size:
             kind = data[offset]
             offset += 1
+            # Fast path.  Fixed positions after the kind byte: thread id
+            # at +0, time at +1..+8, region id at +9, then the instance
+            # varint or the flag.  A valid one- or two-byte instance
+            # zigzag is < 0x4000; a third byte, or a second byte past the
+            # payload (zz set to 0x4000), sends the record to the checked
+            # decode.
+            if kind == KIND_ENTER:
+                end = offset + 11
+                if (
+                    end <= size
+                    and data[offset] < 0x80
+                    and data[offset + 9] < 0x80
+                    and data[offset + 10] == 0
+                ):
+                    region = regions_get(data[offset + 9])
+                    if region is not None:
+                        append(
+                            ("enter", data[offset],
+                             unpack_time(data, offset + 1)[0], region, None)
+                        )
+                        offset = end
+                        continue
+            elif kind == KIND_EXIT:
+                end = offset + 10
+                if end <= size and data[offset] < 0x80 and data[offset + 9] < 0x80:
+                    region = regions_get(data[offset + 9])
+                    if region is not None:
+                        append(
+                            ("exit", data[offset],
+                             unpack_time(data, offset + 1)[0], region)
+                        )
+                        offset = end
+                        continue
+            elif kind == KIND_TASK_BEGIN:
+                # The byte after a one-byte instance is the flag, so the
+                # second instance byte is in bounds whenever it is read.
+                end = offset + 12
+                if end <= size and data[offset] < 0x80 and data[offset + 9] < 0x80:
+                    zz = data[offset + 10]
+                    if zz & 0x80:
+                        zz = (zz & 0x7F) | (data[offset + 11] << 7)
+                        end += 1
+                    if zz < 0x4000 and end <= size and data[end - 1] == 0:
+                        region = regions_get(data[offset + 9])
+                        if region is not None:
+                            append(
+                                ("task_begin", data[offset],
+                                 unpack_time(data, offset + 1)[0], region,
+                                 -((zz + 1) >> 1) if zz & 1 else zz >> 1, None)
+                            )
+                            offset = end
+                            continue
+            elif kind == KIND_TASK_END:
+                end = offset + 11
+                if end <= size and data[offset] < 0x80 and data[offset + 9] < 0x80:
+                    zz = data[offset + 10]
+                    if zz & 0x80:
+                        zz = (
+                            (zz & 0x7F) | (data[end] << 7) if end < size else 0x4000
+                        )
+                        end += 1
+                    if zz < 0x4000:
+                        region = regions_get(data[offset + 9])
+                        if region is not None:
+                            append(
+                                ("task_end", data[offset],
+                                 unpack_time(data, offset + 1)[0], region,
+                                 -((zz + 1) >> 1) if zz & 1 else zz >> 1)
+                            )
+                            offset = end
+                            continue
+            elif kind == KIND_TASK_SWITCH:
+                end = offset + 10
+                if end <= size and data[offset] < 0x80:
+                    zz = data[offset + 9]
+                    if zz & 0x80:
+                        zz = (
+                            (zz & 0x7F) | (data[end] << 7) if end < size else 0x4000
+                        )
+                        end += 1
+                    if zz < 0x4000:
+                        append(
+                            ("task_switch", data[offset],
+                             unpack_time(data, offset + 1)[0],
+                             -((zz + 1) >> 1) if zz & 1 else zz >> 1)
+                        )
+                        offset = end
+                        continue
+            # Checked per-field decode: every other shape and kind.
             if kind == KIND_REGION_DEF:
                 rid, offset = decode_varint(data, offset)
                 name, offset = _decode_str(data, offset)

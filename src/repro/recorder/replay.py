@@ -237,7 +237,7 @@ def verify_recording(
     incomplete (salvaged) one replays leniently, which verifies a
     salvaged partial against what its salvage replay produced.
     """
-    from repro.archive.store import content_hash
+    from repro.archive.store import profile_dict_hash
     from repro.cube.export import profile_to_dict
 
     report = DivergenceReport(usable=False, matched=False)
@@ -251,14 +251,7 @@ def verify_recording(
         return report
     report.strict = stream.complete
     if expected_dict is not None and expected_sha is None:
-        import hashlib
-        import json
-
-        expected_sha = hashlib.sha256(
-            json.dumps(
-                expected_dict, sort_keys=True, separators=(",", ":")
-            ).encode("utf-8")
-        ).hexdigest()
+        expected_sha = profile_dict_hash(expected_dict)
     if expected_sha is None:
         manifest = load_manifest(record_dir) or {}
         expected_sha = manifest.get("live_sha256")
@@ -280,7 +273,7 @@ def verify_recording(
             raise ReplayDivergence(str(exc), report=report) from exc
         return report
     actual = profile_to_dict(profile)
-    report.actual_sha = content_hash(profile)
+    report.actual_sha = profile_dict_hash(actual)
     report.usable = True
     report.matched = report.actual_sha == report.expected_sha
     if not report.matched:

@@ -6,6 +6,7 @@ import random
 from typing import List
 
 from repro.events.regions import Region, RegionRegistry, RegionType
+from repro.recorder.codec import unzigzag
 
 
 def make_regions(registry: RegionRegistry = None) -> List[Region]:
@@ -63,6 +64,50 @@ def random_records(seed: int, count: int, *, with_fin: bool = True) -> List[tupl
             records.append(("phase_end", f"phase{rng.randrange(3)}"))
     if with_fin:
         records.append(("fin", time, len(records)))
+    return records
+
+
+#: Thread ids and zigzagged instance ids on both sides of the decoder's
+#: inline limits: one-byte ids (< 0x80), two-byte instances (< 0x4000).
+WIDE_THREAD_IDS = (127, 128, 300)
+WIDE_INSTANCE_ZIGZAGS = (0x7F, 0x80, 0x3FFF, 0x4000, 2**21)
+
+
+def wide_records() -> List[tuple]:
+    """Every task/region kind at and past the decoder's inline limits.
+
+    Region handles are pinned at 127, 128 and 20000; instance ids span
+    one- to four-byte varints plus negative implicit-task ids; ``enter``
+    and ``task_begin`` alternate between no parameter and a parameter.
+    Handle 64 equals the top byte of every timestamp in [2, 2**16), so
+    an inline read at a position shifted by a wide thread id resolves
+    to a defined region instead of falling through.
+    """
+    registry = RegionRegistry()
+    regions = [
+        registry.register("alias", RegionType.FUNCTION, "wide.py", 0, handle=64),
+        registry.register("edge", RegionType.FUNCTION, "wide.py", 1, handle=127),
+        registry.register("wide", RegionType.TASK, "wide.py", 2, handle=128),
+        registry.register("far", RegionType.TASKWAIT, handle=20000),
+    ]
+    instances = [unzigzag(zz) for zz in WIDE_INSTANCE_ZIGZAGS] + [-1, -2]
+    records: List[tuple] = []
+    time = 0.0
+    for thread_id in WIDE_THREAD_IDS:
+        for region in regions:
+            for parameter in (None, ("depth", 3)):
+                time += 0.5
+                records.append(("enter", thread_id, time, region, parameter))
+            records.append(("exit", thread_id, time, region))
+            for index, instance in enumerate(instances):
+                time += 0.25
+                parameter = ("depth", index) if index % 2 else None
+                records.append(
+                    ("task_begin", thread_id, time, region, instance, parameter)
+                )
+                records.append(("task_end", thread_id, time, region, instance))
+        for instance in instances:
+            records.append(("task_switch", thread_id, time, instance))
     return records
 
 

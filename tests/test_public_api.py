@@ -151,6 +151,7 @@ PROMISED = {
         "RunMeta",
         "config_fingerprint",
         "content_hash",
+        "profile_dict_hash",
         "meta_for_result",
         "meta_for_outcome",
         "find_runs",
