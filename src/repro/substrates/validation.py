@@ -2,34 +2,36 @@
 
 The post-hoc validators (:mod:`repro.events.validate`) need a recorded
 trace; this substrate runs the same task-aware consistency rules
-*streaming*, while the run executes, by feeding each event into a
-per-thread :class:`~repro.events.validate.TaskStreamChecker` the moment
-it is dispatched.  No trace is retained -- memory stays O(active
-instances), which is exactly why real measurement systems validate
-online instead of post-mortem.
-
-Cross-thread rules mirror :func:`~repro.events.validate.collect_trace_violations`:
-a live shared ``known_active`` set lets untied migration validate across
-threads, per-thread timestamps must be monotone, and at :meth:`finalize`
-every explicit instance must have exactly one TaskBegin and one TaskEnd
-program-wide.
+*streaming*, decoding each :class:`~repro.events.batch.EventBatch` into
+per-thread :class:`~repro.events.validate.TaskStreamChecker`\\ s through
+the :class:`~repro.events.validate.TraceClosure` the whole-trace
+validator uses too (per-thread time order, one TaskBegin and one TaskEnd
+per instance).  The checkers share one instance table, as the task
+profiler does, so an untied instance may open a region on one thread and
+close it after resuming on another.  No trace is retained -- memory
+stays O(active instances), which is exactly why real measurement systems
+validate online instead of post-mortem.
 """
-
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, List, Optional, Set
+from typing import List, Optional
 
-from repro.events.model import (
-    EnterEvent,
-    ExitEvent,
-    TaskBeginEvent,
-    TaskEndEvent,
-    TaskSwitchEvent,
-    implicit_instance_id,
+from repro.events.batch import (
+    INST_SHIFT,
+    K_EXIT,
+    K_METRIC,
+    K_TASK_END,
+    KIND_MASK,
+    RID_MASK,
+    RID_SHIFT,
+    TID_MASK,
+    TID_SHIFT,
+    EventBatch,
 )
+from repro.events.model import implicit_instance_id
 from repro.events.regions import Region, RegionRegistry
-from repro.events.validate import TaskStreamChecker, Violation
+from repro.events.validate import TaskStreamChecker, TraceClosure, Violation
 from repro.substrates.base import Substrate
 
 
@@ -49,13 +51,9 @@ class OnlineValidationSubstrate(Substrate):
         self.violations: List[Violation] = []
         self.violation_counts: Counter = Counter()
         self.events_checked = 0
+        self._closure = TraceClosure()
         self._checkers: List[TaskStreamChecker] = []
         self._current: List[int] = []
-        self._last_time: List[Optional[float]] = []
-        self._begun: Dict[int, int] = {}
-        self._ended: Dict[int, int] = {}
-        self._known_active: Set[int] = set()
-        self._finalized = False
 
     def initialize(
         self,
@@ -64,113 +62,56 @@ class OnlineValidationSubstrate(Substrate):
         start_time: float,
         implicit_region: Optional[Region] = None,
     ) -> None:
-        # tied=False with the live cross-thread known_active set: tied-ness
-        # is not observable per stream once tasks may migrate, exactly as
-        # in the post-hoc whole-trace validator.
-        self._known_active = set()
+        # tied=False: tied-ness is not observable per stream once tasks may
+        # migrate, exactly as in the post-hoc whole-trace validator.
+        states = {}
+        self._closure = TraceClosure()
         self._checkers = [
-            TaskStreamChecker(thread_id=t, tied=False, known_active=self._known_active)
+            TaskStreamChecker(thread_id=t, tied=False, states=states)
             for t in range(n_threads)
         ]
         self._current = [implicit_instance_id(t) for t in range(n_threads)]
-        self._last_time = [None] * n_threads
 
     # ------------------------------------------------------------------
-    def _note(self, violations: List[Violation]) -> None:
+    def _note(self, violations) -> None:
         for violation in violations:
             self.violation_counts[violation.kind] += 1
             if len(self.violations) < self.max_recorded:
                 self.violations.append(violation)
 
-    def _feed(self, thread_id: int, event) -> None:
-        self.events_checked += 1
-        checker = self._checkers[thread_id]
-        last = self._last_time[thread_id]
-        if last is not None and event.time < last:
-            self._note(
-                [
-                    Violation(
-                        checker.events_seen,
-                        "time-order",
-                        f"event #{checker.events_seen}: timestamp {event.time} "
-                        f"precedes {last} on thread {thread_id}",
-                    )
-                ]
-            )
-        self._last_time[thread_id] = event.time
-        self._note(checker.feed(event))
+    def on_batch(self, batch: EventBatch) -> None:
+        """Native batch consume: decode each code straight into the checks.
 
-    # -- POMP2 callbacks ------------------------------------------------
-    def on_enter(self, thread_id, region, time, parameter=None) -> None:
-        self._feed(
-            thread_id,
-            EnterEvent(thread_id, time, self._current[thread_id], region, parameter),
-        )
-
-    def on_exit(self, thread_id, region, time) -> None:
-        self._feed(
-            thread_id, ExitEvent(thread_id, time, self._current[thread_id], region)
-        )
-
-    def on_task_begin(self, thread_id, region, instance, time, parameter=None) -> None:
-        self._feed(
-            thread_id,
-            TaskBeginEvent(thread_id, time, instance, region, instance, parameter),
-        )
-        self._current[thread_id] = instance
-        self._begun[instance] = self._begun.get(instance, 0) + 1
-        self._known_active.add(instance)
-
-    def on_task_end(self, thread_id, region, instance, time) -> None:
-        self._feed(
-            thread_id, TaskEndEvent(thread_id, time, instance, region, instance)
-        )
-        self._current[thread_id] = implicit_instance_id(thread_id)
-        self._ended[instance] = self._ended.get(instance, 0) + 1
-
-    def on_task_switch(self, thread_id, instance, time) -> None:
-        self._feed(thread_id, TaskSwitchEvent(thread_id, time, instance, instance))
-        self._current[thread_id] = instance
+        An enter/exit is attributed to the instance its thread last began
+        or switched to, as the tracing substrate records it.  Metric rows
+        carry no task structure and are skipped.
+        """
+        feed = self._closure.feed
+        checkers = self._checkers
+        current = self._current
+        lookup = batch.registry.lookup
+        times = batch.times
+        for i, code in enumerate(batch.codes):
+            kind = code & KIND_MASK
+            tid = (code >> TID_SHIFT) & TID_MASK
+            if kind <= K_EXIT:
+                region = lookup((code >> RID_SHIFT) & RID_MASK)
+                violations = feed(checkers[tid], times[i], kind, region, 0, current[tid])
+            elif kind == K_METRIC:
+                continue
+            else:
+                zz = code >> INST_SHIFT
+                instance = (zz >> 1) if not zz & 1 else -((zz + 1) >> 1)
+                violations = feed(checkers[tid], times[i], kind, None, instance, instance)
+                current[tid] = implicit_instance_id(tid) if kind == K_TASK_END else instance
+            if violations:
+                self._note(violations)
+        self.events_checked += batch.counted
 
     # ------------------------------------------------------------------
     def finalize(self, time: float) -> None:
         """Cross-thread closure checks (begin/end counts program-wide)."""
-        if self._finalized:
-            return
-        self._finalized = True
-        for instance, count in self._begun.items():
-            if count != 1:
-                self._note(
-                    [
-                        Violation(
-                            -1,
-                            "begin-count",
-                            f"instance {instance} has {count} TaskBegin events",
-                        )
-                    ]
-                )
-            ended = self._ended.get(instance, 0)
-            if ended != 1:
-                self._note(
-                    [
-                        Violation(
-                            -1,
-                            "end-count",
-                            f"instance {instance} begun but ended {ended} times",
-                        )
-                    ]
-                )
-        extra = set(self._ended) - set(self._begun)
-        if extra:
-            self._note(
-                [
-                    Violation(
-                        -1,
-                        "end-without-begin",
-                        f"TaskEnd without TaskBegin for instance(s) {sorted(extra)}",
-                    )
-                ]
-            )
+        self._note(self._closure.finish())
 
     @property
     def total_violations(self) -> int:

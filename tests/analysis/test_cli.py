@@ -158,6 +158,32 @@ def test_run_strict_healthy_run_passes_validation(capsys):
     assert "verified=True" in capsys.readouterr().out
 
 
+# Stream faults are applied inside the tracing substrate only, so --strict
+# must keep validating the recorded trace to see them.
+@pytest.mark.parametrize(
+    "mode, message",
+    [
+        ("drop_events",
+         "event #8: exit 'create@fib_task' with no open region in instance 2"),
+        ("duplicate_events",
+         "event #29: task_end for instance 13 that is not active"),
+        ("reorder_events",
+         "event #9: timestamp 9.912500000000001 precedes 10.987499999999999 "
+         "on thread 0"),
+        ("clock_skew",
+         "event #8: timestamp 0.0 precedes 9.462500000000002 on thread 0"),
+        ("truncate_stream", "instance 2 begun but ended 0 times"),
+    ],
+)
+def test_run_strict_rejects_stream_faults(capsys, mode, message):
+    code = main(
+        ["run", "fib", "--size", "test", "--threads", "2", "--seed", "0",
+         "--strict", "--fault-mode", mode]
+    )
+    assert code == 1
+    assert capsys.readouterr().err == f"repro: ValidationError: {message}\n"
+
+
 def test_tolerate_and_strict_are_mutually_exclusive():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["run", "fib", "--tolerate-errors", "--strict"])

@@ -21,11 +21,12 @@ from repro.events import (
     validate_nesting,
     validate_task_stream,
 )
+from repro.events.batch import K_TASK_BEGIN, K_TASK_SWITCH
 from repro.events.model import implicit_instance_id
 from repro.events.stream import ProgramTrace
 from repro.events.validate import (
+    TaskStreamChecker,
     Violation,
-    _task_stream_violations,
     collect_nesting_violations,
     collect_task_stream_violations,
     collect_trace_violations,
@@ -82,14 +83,11 @@ def test_switch_to_never_begun_instance_names_type_and_index(regions):
 def test_tied_instance_resumed_on_another_thread(regions):
     # Thread 0 begins and suspends instance 5 ...
     states = {}
-    thread0 = [
-        TaskBeginEvent(0, 1.0, 5, regions["task"], instance=5),
-        TaskSwitchEvent(0, 2.0, IMPL, instance=IMPL),
-    ]
-    assert list(_task_stream_violations(thread0, 0, True, None, states)) == []
+    thread0 = TaskStreamChecker(0, True, None, states)
+    assert thread0.feed(K_TASK_BEGIN, regions["task"], 5, 5) == []
+    assert thread0.feed(K_TASK_SWITCH, None, IMPL, IMPL) == []
     # ... and thread 1 illegally resumes it (tied tasks may not migrate).
-    resume = [TaskSwitchEvent(1, 3.0, 5, instance=5)]
-    violations = list(_task_stream_violations(resume, 1, True, None, states))
+    violations = TaskStreamChecker(1, True, None, states).feed(K_TASK_SWITCH, None, 5, 5)
     assert [v.kind for v in violations] == ["tied-migration"]
     violation = violations[0]
     assert violation.index == 0

@@ -87,19 +87,29 @@ def test_stats_counts_per_kind_thread_and_region_type(registry):
 # ----------------------------------------------------------------------
 # OnlineValidationSubstrate
 # ----------------------------------------------------------------------
+def _validate(registry, n_threads, fill):
+    """Run ``fill(batch)``'s events through a fresh substrate, finalized."""
+    sub = OnlineValidationSubstrate()
+    sub.initialize(registry, n_threads, 0.0)
+    batch = EventBatch(registry)
+    fill(batch)
+    sub.on_batch(batch)
+    sub.finalize(99.0)
+    return sub
+
+
 def test_validation_clean_sequence(registry):
     func = registry.register("f", RegionType.FUNCTION)
     task = registry.register("t", RegionType.TASK)
-    sub = OnlineValidationSubstrate()
-    sub.initialize(registry, 1, 0.0)
 
-    sub.on_enter(0, func, 1.0)
-    sub.on_exit(0, func, 2.0)
-    sub.on_task_begin(0, task, 1, 3.0)
-    sub.on_task_end(0, task, 1, 4.0)
-    sub.finalize(5.0)
+    def fill(batch):
+        batch.add_enter(0, func, 1.0)
+        batch.add_exit(0, func, 2.0)
+        batch.add_task_begin(0, task, 1, 3.0)
+        batch.add_task_end(0, task, 1, 4.0)
+        batch.add_metric(0, {"c": 1}, 4.0)  # not an event to check
 
-    artifact = sub.artifact()
+    artifact = _validate(registry, 1, fill).artifact()
     assert artifact["clean"] is True
     assert artifact["violations"] == 0
     assert artifact["events_checked"] == 4
@@ -108,16 +118,14 @@ def test_validation_clean_sequence(registry):
 def test_validation_flags_corrupt_stream_online(registry):
     func = registry.register("f", RegionType.FUNCTION)
     task = registry.register("t", RegionType.TASK)
-    sub = OnlineValidationSubstrate()
-    sub.initialize(registry, 1, 0.0)
 
-    sub.on_exit(0, func, 1.0)  # exit with no open region
-    sub.on_task_end(0, task, 7, 2.0)  # end of a never-begun instance
-    sub.on_enter(0, func, 1.5)  # timestamp going backwards
-    sub.on_task_begin(0, task, 1, 3.0)  # begun...
-    sub.finalize(9.0)  # ...but never ended
+    def fill(batch):
+        batch.add_exit(0, func, 1.0)  # exit with no open region
+        batch.add_task_end(0, task, 7, 2.0)  # end of a never-begun instance
+        batch.add_enter(0, func, 1.5)  # timestamp going backwards
+        batch.add_task_begin(0, task, 1, 3.0)  # begun...
 
-    artifact = sub.artifact()
+    artifact = _validate(registry, 1, fill).artifact()  # ...but never ended
     assert artifact["clean"] is False
     kinds = artifact["by_kind"]
     assert kinds["exit-unmatched"] == 1
@@ -131,41 +139,45 @@ def test_validation_flags_corrupt_stream_online(registry):
 
 def test_validation_detects_cross_thread_double_begin(registry):
     task = registry.register("t", RegionType.TASK)
-    sub = OnlineValidationSubstrate()
-    sub.initialize(registry, 2, 0.0)
 
-    sub.on_task_begin(0, task, 1, 1.0)
-    sub.on_task_end(0, task, 1, 2.0)
-    sub.on_task_begin(1, task, 1, 3.0)  # same instance begun again elsewhere
-    sub.on_task_end(1, task, 1, 4.0)
-    sub.finalize(5.0)
+    def fill(batch):
+        batch.add_task_begin(0, task, 1, 1.0)
+        batch.add_task_end(0, task, 1, 2.0)
+        batch.add_task_begin(1, task, 1, 3.0)  # same instance begun again elsewhere
+        batch.add_task_end(1, task, 1, 4.0)
 
-    artifact = sub.artifact()
+    artifact = _validate(registry, 2, fill).artifact()
     assert artifact["by_kind"]["begin-count"] == 1
     assert artifact["by_kind"]["end-count"] == 1
 
 
 def test_validation_allows_untied_migration_between_threads(registry):
+    func = registry.register("f", RegionType.FUNCTION)
     task = registry.register("t", RegionType.TASK)
-    sub = OnlineValidationSubstrate()
-    sub.initialize(registry, 2, 0.0)
 
-    # Begin on thread 0, suspend, resume and end on thread 1: legal for
-    # untied tasks, and the cross-thread known_active set proves it live.
-    sub.on_task_begin(0, task, 1, 1.0)
-    sub.on_task_switch(0, -1, 2.0)
-    sub.on_task_switch(1, 1, 3.0)
-    sub.on_task_end(1, task, 1, 4.0)
-    sub.finalize(5.0)
+    # Begin on thread 0, open a region, suspend; resume on thread 1, close
+    # the region and end there: legal for untied tasks, and the instance
+    # table the threads' checkers share proves it live.
+    def fill(batch):
+        batch.add_task_begin(0, task, 1, 1.0)
+        batch.add_enter(0, func, 1.5)
+        batch.add_task_switch(0, -1, 2.0)
+        batch.add_task_switch(1, 1, 3.0)
+        batch.add_exit(1, func, 3.5)
+        batch.add_task_end(1, task, 1, 4.0)
 
-    assert sub.artifact()["clean"] is True
+    artifact = _validate(registry, 2, fill).artifact()
+    assert artifact["clean"] is True, artifact["first"]
+    assert artifact["events_checked"] == 6
 
 
 def test_validation_caps_recorded_but_counts_all(registry):
     func = registry.register("f", RegionType.FUNCTION)
     sub = OnlineValidationSubstrate(max_recorded=3)
     sub.initialize(registry, 1, 0.0)
+    batch = EventBatch(registry)
     for i in range(10):
-        sub.on_exit(0, func, float(i))  # ten unmatched exits
+        batch.add_exit(0, func, float(i))  # ten unmatched exits
+    sub.on_batch(batch)
     assert sub.total_violations == 10
     assert len(sub.violations) == 3
