@@ -23,7 +23,7 @@ Given a recorded :class:`~repro.events.stream.ProgramTrace`
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.events.model import (
@@ -56,14 +56,6 @@ class SyncPointVisit:
     @property
     def total(self) -> float:
         return self.exit_time - self.enter_time
-
-
-def _is_task_event(event) -> bool:
-    if isinstance(event, (TaskBeginEvent, TaskEndEvent)):
-        return True
-    if isinstance(event, TaskSwitchEvent):
-        return True
-    return False
 
 
 def sync_point_breakdown(

@@ -182,13 +182,13 @@ class EventBatch:
 def replay(batch: EventBatch, listener) -> None:
     """Replay ``batch`` as per-event ``listener.on_*`` calls, in order.
 
-    The one adapter between the columnar path and per-event consumers:
-    the base :meth:`~repro.substrates.base.Substrate.on_batch` shim and
-    the task profiler's lenient/governed mode both go through it.  The
-    callbacks are looked up on ``listener`` once per batch, so handlers
-    shadowed onto an instance (salvage mode, the governor's wrappers)
-    see every event.  Exceptions propagate from the failing event; state
-    updated by earlier events of the batch is kept.
+    The one adapter between the columnar path and per-event consumers;
+    its one caller is the base
+    :meth:`~repro.substrates.base.Substrate.on_batch` shim.  The
+    callbacks are looked up on ``listener`` once per batch, so callbacks
+    shadowed onto an instance at ``initialize`` see every event.
+    Exceptions propagate from the failing event; state updated by
+    earlier events of the batch is kept.
     """
     on_enter = listener.on_enter
     on_exit = listener.on_exit

@@ -85,10 +85,6 @@ class Region:
         self.line = line
 
     @property
-    def is_task(self) -> bool:
-        return self.region_type is RegionType.TASK
-
-    @property
     def is_scheduling_point(self) -> bool:
         return self.region_type.is_scheduling_point()
 

@@ -18,7 +18,6 @@ from repro.events.model import (
     ExitEvent,
     TaskBeginEvent,
     TaskEndEvent,
-    TaskSwitchEvent,
 )
 from repro.events.regions import Region, RegionRegistry
 
@@ -89,9 +88,6 @@ class EventStream:
 
     def task_ends(self) -> List[TaskEndEvent]:
         return self.of_type(TaskEndEvent)  # type: ignore[return-value]
-
-    def task_switches(self) -> List[TaskSwitchEvent]:
-        return self.of_type(TaskSwitchEvent)  # type: ignore[return-value]
 
     def pretty(self, limit: Optional[int] = None) -> str:
         """Multi-line human-readable rendering (used in examples/tests)."""

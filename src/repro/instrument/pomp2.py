@@ -1,11 +1,13 @@
 """The POMP2-style per-event listener protocol.
 
 A listener receives the measurement events the instrumented application
-produces, one callback per event.
-:class:`~repro.profiling.task_profiler.TaskProfiler` implements it, and
-so does every substrate that consumes events one at a time: the
-instrumentation layer batches events, and
-:func:`~repro.events.batch.replay` turns a batch back into these calls.
+produces, one callback per event.  Only per-event substrates implement
+it (tracing, the recorder, third-party substrates): the instrumentation
+layer batches events, and the base
+:meth:`~repro.substrates.base.Substrate.on_batch` shim turns a batch
+back into these calls through :func:`~repro.events.batch.replay`.
+Columnar consumers, the task profiler among them, read the batch
+directly.
 """
 
 from __future__ import annotations

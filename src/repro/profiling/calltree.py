@@ -185,10 +185,6 @@ class CallTreeNode:
     def visits(self) -> int:
         return self.metrics.visits
 
-    def subtree_time(self) -> float:
-        """Alias for inclusive time (readability in analysis code)."""
-        return self.metrics.inclusive_time
-
     # ------------------------------------------------------------------
     # Merge
     # ------------------------------------------------------------------

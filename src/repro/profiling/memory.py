@@ -11,7 +11,7 @@ created) and when it is merged away (task completes).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 #: Synthetic phase name instances begun outside any parallel region are
 #: attributed to, so ``phase_max`` never under-reads ``overall_max``.
@@ -67,8 +67,3 @@ class ConcurrencyTracker:
             "total_instances": self.total_instances,
             "phase_max": dict(self.phase_max),
         }
-
-
-def max_concurrent_per_thread(trackers: List[ConcurrencyTracker]) -> int:
-    """Table II's headline number: max over threads of per-thread maxima."""
-    return max((t.overall_max for t in trackers), default=0)

@@ -3,16 +3,11 @@
 The recorder's checkpoints need a *consistent* cube partial while the
 measured run is still mutating the profiler.  The approach: clone the
 whole profiler (call trees, instance table, pools, concurrency
-trackers), then force-finish the **copy** with the lenient salvage path
-so in-flight task instances are quarantined instead of crashing the
-snapshot.  The live profiler is never touched -- strict mode, governed
-wrappers, everything keeps running untouched.
-
-Cloning is safe here because the lenient/governed handler shadowing
-installs *bound methods as instance attributes*; both pickle's and
-deepcopy's memoization rebind those to the copy, so the clone's
-handlers mutate the clone.  The simulated runtime is single-threaded
-per run, so there is no torn-state race to worry about either.
+trackers), then force-finish the **copy** with
+:meth:`~repro.profiling.task_profiler.TaskProfiler.salvage_finish` so
+in-flight task instances are quarantined instead of crashing the
+snapshot.  The live profiler is left as it was.  The simulated runtime
+is single-threaded per run, so there is no torn-state race either.
 """
 
 from __future__ import annotations
@@ -31,8 +26,7 @@ def _clone_profiler(profiler: TaskProfiler) -> TaskProfiler:
     snapshot's whole cost: a ``pickle`` round-trip is several times
     faster than ``copy.deepcopy`` on real call trees and produces the
     same object graph.  Profilers holding unpicklable state (e.g. a
-    governed wrapper closing over gauge callables) fall back to
-    ``deepcopy``.
+    governor whose gauge is a lambda) fall back to ``deepcopy``.
     """
     try:
         return pickle.loads(
@@ -51,13 +45,10 @@ def snapshot_profiler(profiler: TaskProfiler, time: float):
     partial the partial is.
     """
     clone = _clone_profiler(profiler)
-    # The clone must not share the live run's governor plumbing; its
-    # only job is to finish and be read.
-    clone.governor = None
     if clone.salvage is None:
         clone.salvage = SalvageReport()
     clone.salvage.note(f"checkpoint snapshot at t={time:g}")
-    TaskProfiler._salvage_on_finish(clone, time)
+    clone.salvage_finish(time)
     return clone.build_profile()
 
 

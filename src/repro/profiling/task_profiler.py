@@ -42,17 +42,18 @@ from repro.events.batch import (
     K_TASK_END,
     K_TASK_SWITCH,
     KIND_MASK,
+    KIND_NAMES,
     RID_MASK,
     RID_SHIFT,
     TID_MASK,
     TID_SHIFT,
-    replay,
 )
 from repro.events.model import InstanceId, is_implicit
-from repro.events.regions import Region, RegionType
+from repro.events.regions import Region
 from repro.profiling.calltree import CallTreeNode
 from repro.profiling.memory import ConcurrencyTracker
 from repro.profiling.pool import NodePool
+from repro.profiling.salvage import SalvageReport
 
 
 class _Frame:
@@ -419,21 +420,32 @@ class ThreadTaskProfiler:
         return self.implicit_root
 
 
+#: Event kinds (:data:`~repro.events.batch.KIND_NAMES`) a lenient
+#: profiler counts as seen and may drop; metrics and phases are neither.
+DROPPABLE_KINDS = frozenset(("enter", "exit", "task_begin", "task_end", "task_switch"))
+
+
 class TaskProfiler:
     """Whole-program task profiler: one :class:`ThreadTaskProfiler` per thread.
 
     The instance table is shared across threads so that untied tasks may
     migrate (Section IV-D1); each event is routed to the executing
-    thread's profiler.  The profiler implements the POMP2-style listener
-    protocol consumed by :class:`repro.instrument.layer.InstrumentationLayer`.
+    thread's profiler.  Events arrive only as columnar batches
+    (:meth:`on_batch`); :func:`~repro.recorder.replay.rebuild_profiler`
+    drives the per-thread handlers itself and shares the mode rules below.
 
-    ``strict=False`` selects *lenient* (salvage) mode: instead of raising
-    :class:`~repro.errors.ProfileError` on an inconsistent event, the
-    profiler drops the event or quarantines the offending task instance
-    and records the incident in :attr:`salvage`.  The lenient handlers
-    are installed as *instance* attributes shadowing the class methods,
-    so the default strict path is byte-identical to the original
-    implementation -- no per-event mode check on the hot path.
+    Three modes share that one loop; the mode matters only where an
+    event fails and at task begin/end:
+
+    * **strict** (default): a :class:`~repro.errors.ProfileError` aborts
+      the measurement.
+    * **lenient** (``strict=False``): the failed event is dropped, or the
+      task instance it names is quarantined, and the incident is recorded
+      in :attr:`salvage`.  Lenient profilers rebuild damaged input offline
+      and are never governed.
+    * **governed** (``governor=...``): strict, plus the degradation ladder
+      at task begin (drop the parameter at L2, stub-only at L3) and the
+      governor's begun/completed accounting.
     """
 
     def __init__(
@@ -445,6 +457,11 @@ class TaskProfiler:
         strict: bool = True,
         governor=None,
     ) -> None:
+        if not strict and governor is not None:
+            raise ValueError(
+                "a lenient profiler rebuilds damaged input offline; it "
+                "cannot be governed"
+            )
         self.n_threads = n_threads
         self.implicit_region = implicit_region
         self.instance_table: Dict[InstanceId, InstanceData] = {}
@@ -461,30 +478,9 @@ class TaskProfiler:
         self.finished = False
         self._finish_time: Optional[float] = None
         self.strict = strict
-        self.salvage = None
-        if not strict:
-            from repro.profiling.salvage import SalvageReport
-
-            self.salvage = SalvageReport()
-            # Shadow the listener entry points with the lenient variants.
-            self.on_enter = self._salvage_on_enter  # type: ignore[method-assign]
-            self.on_exit = self._salvage_on_exit  # type: ignore[method-assign]
-            self.on_task_begin = self._salvage_on_task_begin  # type: ignore[method-assign]
-            self.on_task_switch = self._salvage_on_task_switch  # type: ignore[method-assign]
-            self.on_task_end = self._salvage_on_task_end  # type: ignore[method-assign]
-            self.on_finish = self._salvage_on_finish  # type: ignore[method-assign]
+        self.salvage: Optional[SalvageReport] = None if strict else SalvageReport()
         self.governor = governor
         if governor is not None:
-            # Governed wrappers compose on top of whichever handlers are
-            # installed (strict class methods or lenient instance
-            # attributes); with no governor nothing here runs and the
-            # hot path stays byte-identical.
-            self._gov_live: set = set()
-            self._gov_stub: set = set()
-            self._base_on_task_begin = self.on_task_begin
-            self._base_on_task_end = self.on_task_end
-            self.on_task_begin = self._governed_on_task_begin  # type: ignore[method-assign]
-            self.on_task_end = self._governed_on_task_end  # type: ignore[method-assign]
             from repro.governor import L1_EAGER_RELEASE, L2_AGGREGATES_ONLY
 
             governor.attach_gauge(
@@ -501,31 +497,94 @@ class TaskProfiler:
         """Region enters folded away by the call-path depth limit."""
         return sum(t.truncated_enters for t in self.threads)
 
-    # -- listener protocol -------------------------------------------------
-    def on_enter(self, thread_id: int, region: Region, time: float, parameter=None) -> None:
-        self.threads[thread_id].enter(region, time, parameter)
+    # -- consume -----------------------------------------------------------
+    def on_batch(self, batch) -> None:
+        """Consume one columnar event batch, in every mode.
 
-    def on_exit(self, thread_id: int, region: Region, time: float) -> None:
-        self.threads[thread_id].exit(region, time)
+        Each packed code is decoded and handed to the executing thread's
+        :class:`ThreadTaskProfiler`.  ``region`` and ``instance`` are kept
+        as locals so a failed event can be reported: the failure handler
+        reads ``region`` only for enter/exit and ``instance`` only for
+        task events, which always set it first.
+        """
+        codes = batch.codes
+        times = batch.times
+        payloads = batch.payloads
+        lookup = batch.registry.lookup
+        threads = self.threads
+        governor = self.governor
+        modal = governor is not None or not self.strict
+        if not self.strict:
+            self.salvage.events_seen += batch.counted
+        region = instance = None
+        for i, code in enumerate(codes):
+            kind = code & KIND_MASK
+            thread = threads[(code >> TID_SHIFT) & TID_MASK]
+            try:
+                if kind == K_ENTER:
+                    region = lookup((code >> RID_SHIFT) & RID_MASK)
+                    thread.enter(region, times[i], payloads[i] if code & F_PAYLOAD else None)
+                elif kind == K_EXIT:
+                    region = lookup((code >> RID_SHIFT) & RID_MASK)
+                    thread.exit(region, times[i])
+                elif kind == K_TASK_BEGIN:
+                    zz = code >> INST_SHIFT
+                    instance = (zz >> 1) if not zz & 1 else -((zz + 1) >> 1)
+                    region = lookup((code >> RID_SHIFT) & RID_MASK)
+                    parameter = payloads[i] if code & F_PAYLOAD else None
+                    if governor is None:
+                        thread.task_begin(region, instance, times[i], parameter)
+                    else:
+                        self._governed_task_begin(thread, region, instance, times[i], parameter)
+                elif kind == K_TASK_END:
+                    zz = code >> INST_SHIFT
+                    instance = (zz >> 1) if not zz & 1 else -((zz + 1) >> 1)
+                    region = lookup((code >> RID_SHIFT) & RID_MASK)
+                    if modal:
+                        self.end_task(thread, region, instance, times[i])
+                    else:
+                        thread.task_end(region, instance, times[i])
+                elif kind == K_TASK_SWITCH:
+                    zz = code >> INST_SHIFT
+                    instance = (zz >> 1) if not zz & 1 else -((zz + 1) >> 1)
+                    thread.task_switch(instance, times[i])
+                elif kind == K_METRIC:
+                    thread.metric(payloads[i])
+            except ProfileError as exc:
+                self.event_failed(KIND_NAMES[kind], region, instance, times[i], exc)
 
-    def on_task_begin(
-        self, thread_id: int, region: Region, instance: InstanceId, time: float, parameter=None
+    def end_task(
+        self, thread: ThreadTaskProfiler, region: Region, instance: InstanceId, time: float
     ) -> None:
-        self.threads[thread_id].task_begin(region, instance, time, parameter)
+        """TaskEnd plus its accounting: the governor's completed count, or
+        the lenient report's completed-instance tally."""
+        data = self.instance_table.get(instance)
+        thread.task_end(region, instance, time)
+        if self.governor is not None:
+            self.governor.note_instance_completed(stub=data.stub_only)
+        elif not self.strict:
+            self.salvage.instances_completed += 1
 
-    def on_task_switch(self, thread_id: int, instance: InstanceId, time: float) -> None:
-        profiler = self.threads[thread_id]
-        if not is_implicit(instance):
-            data = self.instance_table.get(instance)
-            if data is None:
-                raise ProfileError(f"task_switch to unknown instance {instance}")
-        profiler.task_switch(instance, time)
+    def event_failed(self, kind: str, region, instance, time: float, exc: ProfileError) -> None:
+        """Handle a :class:`ProfileError` raised by one event of ``kind``
+        (a :data:`~repro.events.batch.KIND_NAMES` entry).
 
-    def on_task_end(self, thread_id: int, region: Region, instance: InstanceId, time: float) -> None:
-        self.threads[thread_id].task_end(region, instance, time)
-
-    def on_metric(self, thread_id: int, counters: dict, time: float) -> None:
-        self.threads[thread_id].metric(counters)
+        Strict mode re-raises.  Lenient mode drops the event: a failed
+        enter/exit/switch is noted, a failed task begin/end quarantines
+        the instance (it is *evicted*: its tree is never merged).  The
+        thread is left in a consistent state either way; a failed switch
+        leaves it on its implicit task.
+        """
+        if self.strict or kind not in DROPPABLE_KINDS:
+            raise exc
+        salvage = self.salvage
+        salvage.events_dropped += 1
+        if kind == "task_begin" or kind == "task_end":
+            self._quarantine(instance, time, f"{kind} failed: {exc}")
+        elif kind == "task_switch":
+            salvage.note(f"dropped task_switch to {instance}: {exc}")
+        else:
+            salvage.note(f"dropped {kind} {region.name!r}: {exc}")
 
     def on_phase_begin(self, name: str) -> None:
         for thread in self.threads:
@@ -536,7 +595,13 @@ class TaskProfiler:
             thread.concurrency.end_phase()
 
     def on_finish(self, time: float) -> None:
-        """End of measurement: close every thread's implicit root."""
+        """End of measurement: close every thread's implicit root.
+
+        A lenient profiler finishes through :meth:`salvage_finish`.
+        """
+        if not self.strict:
+            self.salvage_finish(time)
+            return
         if self.instance_table:
             raise ProfileError(
                 f"measurement finished with active instances: "
@@ -547,67 +612,22 @@ class TaskProfiler:
         self.finished = True
         self._finish_time = time
 
-    # -- batched dispatch --------------------------------------------------
-    def on_batch(self, batch) -> None:
-        """Consume one columnar event batch (the deferred-analysis path).
+    def salvage_finish(self, time: float) -> None:
+        """Finish whatever state the profiler is in, in any mode.
 
-        Strict ungoverned mode -- the hot path -- decodes each packed
-        code and calls the per-thread handlers directly, saving the
-        listener-protocol frame per event.  Lenient or governed mode
-        goes through :func:`~repro.events.batch.replay` instead (the same
-        adapter as the substrate shim), so the shadowed salvage/governed
-        handlers observe every event.  Either way each
-        :class:`ThreadTaskProfiler` sees the same event sequence.
+        In-flight task instances are quarantined into :attr:`salvage`
+        (created if the profiler is strict) and every open region is
+        force-closed at ``time``.
         """
-        if not self.strict or self.governor is not None:
-            replay(batch, self)
-            return
-        codes = batch.codes
-        times = batch.times
-        payloads = batch.payloads
-        lookup = batch.registry.lookup
-        threads = self.threads
-        instance_table = self.instance_table
-        for i, code in enumerate(codes):
-            kind = code & KIND_MASK
-            thread = threads[(code >> TID_SHIFT) & TID_MASK]
-            if kind == K_ENTER:
-                thread.enter(
-                    lookup((code >> RID_SHIFT) & RID_MASK),
-                    times[i],
-                    payloads[i] if code & F_PAYLOAD else None,
-                )
-            elif kind == K_EXIT:
-                thread.exit(lookup((code >> RID_SHIFT) & RID_MASK), times[i])
-            elif kind == K_TASK_BEGIN:
-                zz = code >> INST_SHIFT
-                thread.task_begin(
-                    lookup((code >> RID_SHIFT) & RID_MASK),
-                    (zz >> 1) if not zz & 1 else -((zz + 1) >> 1),
-                    times[i],
-                    payloads[i] if code & F_PAYLOAD else None,
-                )
-            elif kind == K_TASK_END:
-                zz = code >> INST_SHIFT
-                thread.task_end(
-                    lookup((code >> RID_SHIFT) & RID_MASK),
-                    (zz >> 1) if not zz & 1 else -((zz + 1) >> 1),
-                    times[i],
-                )
-            elif kind == K_TASK_SWITCH:
-                zz = code >> INST_SHIFT
-                instance = (zz >> 1) if not zz & 1 else -((zz + 1) >> 1)
-                if instance >= 0 and instance_table.get(instance) is None:
-                    raise ProfileError(
-                        f"task_switch to unknown instance {instance}"
-                    )
-                thread.task_switch(instance, times[i])
-            elif kind == K_METRIC:
-                thread.metric(payloads[i])
+        if self.salvage is None:
+            self.salvage = SalvageReport()
+        for instance in sorted(self.instance_table):
+            self._quarantine(instance, time, "still active at end of measurement")
+        for thread in self.threads:
+            thread.salvage_finish(time)
+        self.finished = True
+        self._finish_time = time
 
-    # -- lenient (salvage) listener variants -------------------------------
-    # Installed as instance attributes by __init__(strict=False); the class
-    # methods above stay untouched for the strict hot path.
     def _quarantine(self, instance: InstanceId, time: float, reason: str) -> None:
         """Evict an instance whose event history cannot be trusted."""
         self.salvage.quarantine(instance, reason)
@@ -623,62 +643,7 @@ class TaskProfiler:
         if data.home_pool is not None:
             data.home_pool.release_tree(data.root)
 
-    def _salvage_on_enter(self, thread_id, region, time, parameter=None) -> None:
-        self.salvage.events_seen += 1
-        try:
-            self.threads[thread_id].enter(region, time, parameter)
-        except ProfileError as exc:
-            self.salvage.events_dropped += 1
-            self.salvage.note(f"dropped enter {region.name!r}: {exc}")
-
-    def _salvage_on_exit(self, thread_id, region, time) -> None:
-        self.salvage.events_seen += 1
-        try:
-            self.threads[thread_id].exit(region, time)
-        except ProfileError as exc:
-            self.salvage.events_dropped += 1
-            self.salvage.note(f"dropped exit {region.name!r}: {exc}")
-
-    def _salvage_on_task_begin(self, thread_id, region, instance, time, parameter=None) -> None:
-        self.salvage.events_seen += 1
-        try:
-            self.threads[thread_id].task_begin(region, instance, time, parameter)
-        except ProfileError as exc:
-            self.salvage.events_dropped += 1
-            self._quarantine(instance, time, f"task_begin failed: {exc}")
-
-    def _salvage_on_task_switch(self, thread_id, instance, time) -> None:
-        self.salvage.events_seen += 1
-        try:
-            self.threads[thread_id].task_switch(instance, time)
-        except ProfileError as exc:
-            # task_switch leaves the thread on its implicit task when the
-            # target is unusable, which is a consistent state to continue
-            # from; the failed switch itself is simply not performed.
-            self.salvage.events_dropped += 1
-            self.salvage.note(f"dropped task_switch to {instance}: {exc}")
-
-    def _salvage_on_task_end(self, thread_id, region, instance, time) -> None:
-        self.salvage.events_seen += 1
-        try:
-            self.threads[thread_id].task_end(region, instance, time)
-            self.salvage.instances_completed += 1
-        except ProfileError as exc:
-            self.salvage.events_dropped += 1
-            self._quarantine(instance, time, f"task_end failed: {exc}")
-
-    def _salvage_on_finish(self, time) -> None:
-        for instance in sorted(self.instance_table):
-            self._quarantine(instance, time, "still active at end of measurement")
-        for thread in self.threads:
-            thread.salvage_finish(time)
-        self.finished = True
-        self._finish_time = time
-
-    # -- governed listener variants ----------------------------------------
-    # Installed as instance attributes by __init__(governor=...); they wrap
-    # whatever task_begin/task_end handlers were installed below them
-    # (strict or lenient) and apply the degradation ladder to new instances.
+    # -- degradation ladder (governed mode) --------------------------------
     def _ladder_eager_release(self) -> None:
         """L1: pools stop retaining freed nodes (eager reclamation)."""
         for thread in self.threads:
@@ -692,36 +657,21 @@ class TaskProfiler:
             thread.pool.max_free = max_free
             thread.pool.trim(max_free)
 
-    def _governed_on_task_begin(self, thread_id, region, instance, time, parameter=None) -> None:
+    def _governed_task_begin(
+        self, thread: ThreadTaskProfiler, region: Region, instance: InstanceId,
+        time: float, parameter: Optional[tuple],
+    ) -> None:
+        """TaskBegin on the governor's current ladder level."""
         from repro.governor import L2_AGGREGATES_ONLY, L3_STUB_ONLY
 
-        governor = self.governor
-        level = governor.check(time)  # may raise MemoryPressureStop (L4)
-        stub = level >= L3_STUB_ONLY
+        level = self.governor.check(time)  # may raise MemoryPressureStop (L4)
         if level >= L2_AGGREGATES_ONLY:
             # Aggregates-only: drop the per-instance parameter split so
             # all instances of the construct merge into one subtree.
             parameter = None
-        self._base_on_task_begin(thread_id, region, instance, time, parameter)
-        data = self.instance_table.get(instance)
-        if data is None:
-            # Lenient base handler dropped/quarantined the begin.
-            return
-        governor.note_instance_begun(time, stub=stub)
-        if stub:
-            data.stub_only = True
-            self._gov_stub.add(instance)
-        else:
-            self._gov_live.add(instance)
-
-    def _governed_on_task_end(self, thread_id, region, instance, time) -> None:
-        self._base_on_task_end(thread_id, region, instance, time)
-        if instance in self._gov_stub:
-            self._gov_stub.discard(instance)
-            self.governor.note_instance_completed(stub=True)
-        elif instance in self._gov_live:
-            self._gov_live.discard(instance)
-            self.governor.note_instance_completed(stub=False)
+        data = thread.task_begin(region, instance, time, parameter)
+        data.stub_only = level >= L3_STUB_ONLY
+        self.governor.note_instance_begun(time, stub=data.stub_only)
 
     # -- results -----------------------------------------------------------
     def build_profile(self):

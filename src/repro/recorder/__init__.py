@@ -25,6 +25,7 @@ from repro.recorder.codec import RecordDecoder, RecordEncoder
 from repro.recorder.replay import (
     DivergenceReport,
     diff_profile_dicts,
+    governor_level,
     rebuild_profile,
     rebuild_profiler,
     replay_recording,
@@ -48,11 +49,17 @@ def record_live_profile(record_dir: str, profile) -> None:
     Called by the tolerant runner after a clean run: the recorder
     finalizes *before* the profile artifact exists, so the verification
     target is added post-hoc.  ``repro verify`` compares its replayed
-    hash against this value.
+    hash against this value.  A run the resource governor degraded also
+    gets its worst ladder level as ``governor_level``: replay cannot
+    reproduce that cube, and verify reports the recording unusable.
     """
     from repro.archive.store import content_hash
 
-    update_manifest(record_dir, live_sha256=content_hash(profile))
+    fields = {"live_sha256": content_hash(profile)}
+    level = governor_level(profile.salvage.pressure_incidents if profile.salvage else ())
+    if level:
+        fields["governor_level"] = level
+    update_manifest(record_dir, **fields)
 
 
 __all__ = [

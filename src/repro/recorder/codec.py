@@ -93,10 +93,6 @@ def unzigzag(value: int) -> int:
     return (value >> 1) if not value & 1 else -((value + 1) >> 1)
 
 
-def _encode_signed(value: int, out: bytearray) -> None:
-    encode_varint(zigzag(value), out)
-
-
 def _decode_signed(data: bytes, offset: int) -> Tuple[int, int]:
     value, offset = decode_varint(data, offset)
     return unzigzag(value), offset

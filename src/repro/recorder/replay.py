@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.errors import ProfileError, RecordingError, ReplayDivergence
-from repro.profiling.task_profiler import TaskProfiler
+from repro.governor import LEVEL_NAMES
+from repro.profiling.task_profiler import DROPPABLE_KINDS, TaskProfiler
 from repro.recorder.chunks import RecoveredStream, read_records
 from repro.recorder.store import events_path, load_manifest
 
@@ -51,7 +52,10 @@ def rebuild_profiler(
     inconsistency raise -- the verification mode.  ``strict=False`` is
     the salvage mode: inconsistencies and in-flight instances at the
     (possibly synthesized) end of stream are quarantined into the
-    profile's salvage report instead.
+    profile's salvage report instead.  Records go straight to the
+    per-thread handlers; a failed one goes to the profiler's
+    :meth:`~repro.profiling.task_profiler.TaskProfiler.event_failed`,
+    exactly as in its batch loop.
     """
     init = find_init(records)
     if init is None:
@@ -66,53 +70,54 @@ def rebuild_profiler(
         max_call_path_depth=depth,
         strict=strict,
     )
-    last_time = start_time
+    threads = profiler.threads
+    time = start_time
     fin_time: Optional[float] = None
+    region = instance = None
     for record in records:
         kind = record[0]
-        if kind == "enter":
-            _, thread_id, time, region, parameter = record
-            profiler.on_enter(thread_id, region, time, parameter)
-            last_time = time
-        elif kind == "exit":
-            _, thread_id, time, region = record
-            profiler.on_exit(thread_id, region, time)
-            last_time = time
-        elif kind == "task_begin":
-            _, thread_id, time, region, instance, parameter = record
-            profiler.on_task_begin(thread_id, region, instance, time, parameter)
-            last_time = time
-        elif kind == "task_end":
-            _, thread_id, time, region, instance = record
-            profiler.on_task_end(thread_id, region, instance, time)
-            last_time = time
-        elif kind == "task_switch":
-            _, thread_id, time, instance = record
-            profiler.on_task_switch(thread_id, instance, time)
-            last_time = time
-        elif kind == "metric":
-            _, thread_id, time, counters = record
-            profiler.on_metric(thread_id, counters, time)
-            last_time = time
-        elif kind == "phase_begin":
-            profiler.on_phase_begin(record[1])
-        elif kind == "phase_end":
-            profiler.on_phase_end(record[1])
-        elif kind == "fin":
-            fin_time = record[1]
-        elif kind == "init":
-            continue
-        else:  # pragma: no cover - decoder only emits known kinds
-            raise RecordingError(f"unknown record kind {kind!r} in replay")
+        try:
+            if kind == "enter":
+                _, thread_id, time, region, parameter = record
+                threads[thread_id].enter(region, time, parameter)
+            elif kind == "exit":
+                _, thread_id, time, region = record
+                threads[thread_id].exit(region, time)
+            elif kind == "task_begin":
+                _, thread_id, time, region, instance, parameter = record
+                threads[thread_id].task_begin(region, instance, time, parameter)
+            elif kind == "task_end":
+                _, thread_id, time, region, instance = record
+                if strict:
+                    threads[thread_id].task_end(region, instance, time)
+                else:
+                    profiler.end_task(threads[thread_id], region, instance, time)
+            elif kind == "task_switch":
+                _, thread_id, time, instance = record
+                threads[thread_id].task_switch(instance, time)
+            elif kind == "metric":
+                _, thread_id, time, counters = record
+                threads[thread_id].metric(counters)
+            elif kind == "phase_begin":
+                profiler.on_phase_begin(record[1])
+            elif kind == "phase_end":
+                profiler.on_phase_end(record[1])
+            elif kind == "fin":
+                fin_time = record[1]
+            elif kind != "init":  # pragma: no cover - decoder only emits known kinds
+                raise RecordingError(f"unknown record kind {kind!r} in replay")
+        except ProfileError as exc:
+            profiler.event_failed(kind, region, instance, time, exc)
     if fin_time is None and strict:
         raise RecordingError(
             "recorded stream is incomplete (no FIN record); strict replay "
             "requires a complete stream -- use lenient replay to salvage"
         )
+    if not strict:
+        profiler.salvage.events_seen += sum(r[0] in DROPPABLE_KINDS for r in records)
     end = fin_time if fin_time is not None else finish_time
-    if end is None:
-        end = last_time
-    profiler.on_finish(end)
+    # with neither, the stream ends at its last event
+    profiler.on_finish(time if end is None else end)
     return profiler
 
 
@@ -221,6 +226,11 @@ def diff_profile_dicts(expected, actual, *, limit: int = 12) -> List[str]:
     return out
 
 
+def governor_level(pressure_incidents) -> int:
+    """Worst ladder level among pressure-incident dicts; 0 if none."""
+    return max((i.get("level", 0) for i in pressure_incidents), default=0)
+
+
 def verify_recording(
     record_dir: str,
     *,
@@ -236,6 +246,10 @@ def verify_recording(
     manifest after a clean run.  A complete stream replays strictly; an
     incomplete (salvaged) one replays leniently, which verifies a
     salvaged partial against what its salvage replay produced.
+
+    A run the resource governor moved off L0 is unusable: its live cube
+    carries pressure incidents and, from L2 on, merged or folded call
+    paths, while replay rebuilds the full-fidelity cube from the events.
     """
     from repro.archive.store import profile_dict_hash
     from repro.cube.export import profile_to_dict
@@ -250,10 +264,22 @@ def verify_recording(
         report.reasons.append("no recoverable records in stream")
         return report
     report.strict = stream.complete
+    manifest = load_manifest(record_dir) or {}
+    level = manifest.get("governor_level", 0)
+    if expected_dict is not None:
+        level = max(level, governor_level(
+            expected_dict.get("salvage", {}).get("pressure_incidents", ())
+        ))
+    if level:
+        report.reasons.append(
+            f"recorded run was degraded by the resource governor (ladder "
+            f"level L{level} {LEVEL_NAMES.get(level, '')}); replay rebuilds "
+            f"the full-fidelity cube and cannot reproduce it"
+        )
+        return report
     if expected_dict is not None and expected_sha is None:
         expected_sha = profile_dict_hash(expected_dict)
     if expected_sha is None:
-        manifest = load_manifest(record_dir) or {}
         expected_sha = manifest.get("live_sha256")
         if expected_sha is None:
             report.reasons.append(

@@ -21,10 +21,10 @@ from repro.substrates.base import Substrate
 class ProfilingSubstrate(Substrate):
     """Task-aware call-path profiling (the run's ``profile`` artifact).
 
-    Essential by default: a :class:`~repro.errors.ProfileError` from an
-    inconsistent event stream aborts the run in strict mode, exactly as
-    the directly-wired profiler always did.  Pass ``strict=False`` for
-    the PR-1 lenient salvage mode instead.
+    Essential and strict: a :class:`~repro.errors.ProfileError` from an
+    inconsistent event stream aborts the run.  Damaged runs are salvaged
+    offline by a lenient profiler (:mod:`repro.faults.campaign`,
+    :mod:`repro.recorder.salvage`), never live.
     """
 
     name = "profiling"
@@ -33,12 +33,10 @@ class ProfilingSubstrate(Substrate):
     def __init__(
         self,
         max_call_path_depth: Optional[int] = None,
-        strict: bool = True,
         per_event_cost: float = 0.0,
         governor=None,
     ) -> None:
         self.max_call_path_depth = max_call_path_depth
-        self.strict = strict
         self.per_event_cost = per_event_cost
         #: armed :class:`~repro.governor.ResourceGovernor`; the runtime
         #: injects its own when a memory budget is configured
@@ -62,13 +60,10 @@ class ProfilingSubstrate(Substrate):
             implicit_region,
             start_time=start_time,
             max_call_path_depth=self.max_call_path_depth,
-            strict=self.strict,
             governor=self.governor,
         )
         self.profiler = profiler
-        # Short-circuit dispatch: the profiler consumes whole batches
-        # itself (replaying them through its salvage/governed handlers
-        # in lenient or governed mode).
+        # Short-circuit dispatch: the profiler consumes whole batches.
         self.on_batch = profiler.on_batch
         self.on_phase_begin = profiler.on_phase_begin
         self.on_phase_end = profiler.on_phase_end

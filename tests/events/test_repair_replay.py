@@ -22,7 +22,7 @@ from repro.events import (
 from repro.events.model import implicit_instance_id
 from repro.events.validate import collect_task_stream_violations
 from repro.faults import campaign
-from repro.profiling.task_profiler import TaskProfiler
+from repro.profiling.task_profiler import TaskProfiler, ThreadTaskProfiler
 
 IMPL = implicit_instance_id(0)
 
@@ -145,23 +145,36 @@ def test_repair_streams_merges_per_thread_logs(regions):
 
 
 def _record_salvage_calls(monkeypatch):
-    """Make salvage build a profiler that logs each handler call it gets;
-    return the (live) list of calls."""
+    """Make every profiler log each per-thread handler call it makes, and
+    its finish; return the (live) list of calls.
+
+    Only outermost handler calls are logged: ``task_begin`` and
+    ``task_end`` switch tasks internally, which is not an event.
+    """
     calls = []
+    depth = [0]
+    for kind in ("enter", "exit", "task_begin", "task_end", "task_switch"):
+        handler = getattr(ThreadTaskProfiler, kind)
 
-    def recording_profiler(*args, **kwargs):
-        profiler = TaskProfiler(*args, **kwargs)
-        for kind in ("enter", "exit", "task_begin", "task_end", "task_switch", "finish"):
-            handler = getattr(profiler, f"on_{kind}")
+        def record(self, *call, _kind=kind, _handler=handler):
+            if not depth[0]:
+                calls.append(
+                    (_kind, self.thread_id) + tuple(getattr(a, "name", a) for a in call)
+                )
+            depth[0] += 1
+            try:
+                return _handler(self, *call)
+            finally:
+                depth[0] -= 1
 
-            def record(*call, _kind=kind, _handler=handler):
-                calls.append((_kind,) + tuple(getattr(a, "name", a) for a in call))
-                _handler(*call)
+        monkeypatch.setattr(ThreadTaskProfiler, kind, record)
+    on_finish = TaskProfiler.on_finish
 
-            setattr(profiler, f"on_{kind}", record)
-        return profiler
+    def finish(self, time):
+        calls.append(("finish", time))
+        on_finish(self, time)
 
-    monkeypatch.setattr(campaign, "TaskProfiler", recording_profiler)
+    monkeypatch.setattr(TaskProfiler, "on_finish", finish)
     return calls
 
 

@@ -4,12 +4,17 @@ import pytest
 
 from repro.errors import ProfileError
 from repro.events import RegionRegistry, RegionType
+from repro.events.batch import EventBatch
 from repro.profiling import SalvageReport, TaskProfiler
 
 
 @pytest.fixture()
-def regions():
-    reg = RegionRegistry()
+def reg():
+    return RegionRegistry()
+
+
+@pytest.fixture()
+def regions(reg):
     return {
         "impl": reg.register("parallel@x", RegionType.IMPLICIT_TASK),
         "A": reg.register("taskA", RegionType.TASK),
@@ -17,16 +22,20 @@ def regions():
     }
 
 
-def test_strict_profiler_rejects_end_for_unknown_instance(regions):
+def test_strict_profiler_rejects_end_for_unknown_instance(reg, regions):
     profiler = TaskProfiler(1, regions["impl"])
     assert profiler.salvage is None
+    batch = EventBatch(reg)
+    batch.add_task_end(0, regions["A"], 7, 1.0)
     with pytest.raises(ProfileError, match="unknown instance 7"):
-        profiler.on_task_end(0, regions["A"], 7, 1.0)
+        profiler.on_batch(batch)
 
 
-def test_lenient_profiler_quarantines_instead(regions):
+def test_lenient_profiler_quarantines_instead(reg, regions):
     profiler = TaskProfiler(1, regions["impl"], strict=False)
-    profiler.on_task_end(0, regions["A"], 7, 1.0)  # no raise
+    batch = EventBatch(reg)
+    batch.add_task_end(0, regions["A"], 7, 1.0)
+    profiler.on_batch(batch)  # no raise
     profiler.on_finish(2.0)
     report = profiler.salvage
     assert report.partial
@@ -35,10 +44,12 @@ def test_lenient_profiler_quarantines_instead(regions):
     assert profiler.build_profile().is_partial
 
 
-def test_clean_lifecycle_counts_completed_instances(regions):
+def test_clean_lifecycle_counts_completed_instances(reg, regions):
     profiler = TaskProfiler(1, regions["impl"], strict=False)
-    profiler.on_task_begin(0, regions["A"], 1, 1.0)
-    profiler.on_task_end(0, regions["A"], 1, 2.0)
+    batch = EventBatch(reg)
+    batch.add_task_begin(0, regions["A"], 1, 1.0)
+    batch.add_task_end(0, regions["A"], 1, 2.0)
+    profiler.on_batch(batch)
     profiler.on_finish(3.0)
     report = profiler.salvage
     assert report.instances_completed == 1
@@ -48,10 +59,12 @@ def test_clean_lifecycle_counts_completed_instances(regions):
     assert not profiler.build_profile().is_partial
 
 
-def test_unfinished_instance_is_quarantined_at_finish(regions):
+def test_unfinished_instance_is_quarantined_at_finish(reg, regions):
     profiler = TaskProfiler(1, regions["impl"], strict=False)
-    profiler.on_task_begin(0, regions["A"], 1, 1.0)
-    profiler.on_enter(0, regions["foo"], 1.5)
+    batch = EventBatch(reg)
+    batch.add_task_begin(0, regions["A"], 1, 1.0)
+    batch.add_enter(0, regions["foo"], 1.5)
+    profiler.on_batch(batch)
     profiler.on_finish(2.0)
     report = profiler.salvage
     assert 1 in report.instances_quarantined
@@ -59,9 +72,11 @@ def test_unfinished_instance_is_quarantined_at_finish(regions):
     assert profiler.build_profile().is_partial
 
 
-def test_lenient_switch_to_unknown_instance_is_dropped(regions):
+def test_lenient_switch_to_unknown_instance_is_dropped(reg, regions):
     profiler = TaskProfiler(1, regions["impl"], strict=False)
-    profiler.on_task_switch(0, 42, 1.0)  # strict would raise
+    batch = EventBatch(reg)
+    batch.add_task_switch(0, 42, 1.0)
+    profiler.on_batch(batch)  # strict would raise
     profiler.on_finish(2.0)
     assert profiler.salvage.events_dropped == 1
     assert profiler.salvage.partial
@@ -78,3 +93,27 @@ def test_salvage_report_roundtrip_and_summary():
     assert "quarantined instance 5: unrecoverable" in clone.notes
     assert "partial profile" in clone.summary()
     assert SalvageReport().summary() == "profile complete: no salvage needed"
+
+
+def test_salvage_finish_closes_a_strict_profiler_mid_run(reg, regions):
+    # The lenient finish is public and works on a live strict profiler:
+    # in-flight instances are quarantined, open regions force-closed.
+    profiler = TaskProfiler(1, regions["impl"])
+    batch = EventBatch(reg)
+    batch.add_enter(0, regions["foo"], 0.5)
+    batch.add_task_begin(0, regions["A"], 1, 1.0)
+    profiler.on_batch(batch)
+    profiler.salvage_finish(2.0)
+    assert profiler.finished and not profiler.instance_table
+    assert profiler.salvage.instances_quarantined == {1}
+    assert profiler.build_profile().is_partial
+
+
+def test_lenient_profiler_cannot_be_governed(regions):
+    from repro.governor import MemoryBudget, ResourceGovernor
+
+    governor = ResourceGovernor(MemoryBudget(max_live_instances=4))
+    with pytest.raises(ValueError, match="cannot be governed"):
+        TaskProfiler(1, regions["impl"], strict=False, governor=governor)
+    TaskProfiler(1, regions["impl"], governor=governor)  # strict + governed is fine
+

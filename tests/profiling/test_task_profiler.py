@@ -10,6 +10,7 @@ import pytest
 
 from repro.errors import ProfileError
 from repro.events import RegionRegistry, RegionType
+from repro.events.batch import EventBatch
 from repro.events.model import implicit_instance_id
 from repro.profiling import TaskProfiler, ThreadTaskProfiler
 from repro.profiling.task_profiler import InstanceData
@@ -282,16 +283,18 @@ def test_exit_root_frame_protected(regions):
 # ----------------------------------------------------------------------
 # Multi-thread TaskProfiler and untied migration
 # ----------------------------------------------------------------------
-def test_multithread_profile_and_aggregation(regions):
+def test_multithread_profile_and_aggregation(reg, regions):
     tp = TaskProfiler(2, regions["impl"])
+    batch = EventBatch(reg)
     for t in (0, 1):
-        tp.on_enter(t, regions["barrier"], 1.0)
-    tp.on_task_begin(0, regions["A"], 1, 1.0)
-    tp.on_task_end(0, regions["A"], 1, 3.0)
-    tp.on_task_begin(1, regions["A"], 2, 1.0)
-    tp.on_task_end(1, regions["A"], 2, 6.0)
+        batch.add_enter(t, regions["barrier"], 1.0)
+    batch.add_task_begin(0, regions["A"], 1, 1.0)
+    batch.add_task_end(0, regions["A"], 1, 3.0)
+    batch.add_task_begin(1, regions["A"], 2, 1.0)
+    batch.add_task_end(1, regions["A"], 2, 6.0)
     for t in (0, 1):
-        tp.on_exit(t, regions["barrier"], 6.0)
+        batch.add_exit(t, regions["barrier"], 6.0)
+    tp.on_batch(batch)
     tp.on_finish(7.0)
     profile = tp.build_profile()
     assert profile.n_threads == 2
@@ -304,21 +307,23 @@ def test_multithread_profile_and_aggregation(regions):
     assert merged_main.inclusive_time == 14.0
 
 
-def test_untied_migration_across_threads(regions):
+def test_untied_migration_across_threads(reg, regions):
     """Section IV-D1: the task's data migrates with the task."""
     tp = TaskProfiler(2, regions["impl"])
-    tp.on_enter(0, regions["barrier"], 0.0)
-    tp.on_enter(1, regions["barrier"], 0.0)
+    batch = EventBatch(reg)
+    batch.add_enter(0, regions["barrier"], 0.0)
+    batch.add_enter(1, regions["barrier"], 0.0)
     # begins on thread 0, suspends at its taskwait
-    tp.on_task_begin(0, regions["A"], 1, 0.0)
-    tp.on_enter(0, regions["taskwait"], 1.0)
-    tp.on_task_switch(0, implicit_instance_id(0), 2.0)
+    batch.add_task_begin(0, regions["A"], 1, 0.0)
+    batch.add_enter(0, regions["taskwait"], 1.0)
+    batch.add_task_switch(0, implicit_instance_id(0), 2.0)
     # resumes on thread 1 six us later
-    tp.on_task_switch(1, 1, 8.0)
-    tp.on_exit(1, regions["taskwait"], 9.0)
-    tp.on_task_end(1, regions["A"], 1, 10.0)
-    tp.on_exit(0, regions["barrier"], 10.0)
-    tp.on_exit(1, regions["barrier"], 10.0)
+    batch.add_task_switch(1, 1, 8.0)
+    batch.add_exit(1, regions["taskwait"], 9.0)
+    batch.add_task_end(1, regions["A"], 1, 10.0)
+    batch.add_exit(0, regions["barrier"], 10.0)
+    batch.add_exit(1, regions["barrier"], 10.0)
+    tp.on_batch(batch)
     tp.on_finish(10.0)
     profile = tp.build_profile()
     agg = profile.task_tree("taskA")
@@ -331,10 +336,12 @@ def test_untied_migration_across_threads(regions):
     assert stub1.inclusive_time == 2.0
 
 
-def test_finish_with_active_instance_rejected(regions):
+def test_finish_with_active_instance_rejected(reg, regions):
     tp = TaskProfiler(1, regions["impl"])
-    tp.on_enter(0, regions["barrier"], 0.0)
-    tp.on_task_begin(0, regions["A"], 1, 0.0)
+    batch = EventBatch(reg)
+    batch.add_enter(0, regions["barrier"], 0.0)
+    batch.add_task_begin(0, regions["A"], 1, 0.0)
+    tp.on_batch(batch)
     with pytest.raises(ProfileError, match="active instances"):
         tp.on_finish(1.0)
 

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.recorder.store import events_path, load_manifest
+from repro.recorder.store import events_path, load_manifest, write_manifest
 
 
 @pytest.fixture()
@@ -150,3 +150,42 @@ def test_verify_against_unknown_ref(recorded, tmp_path, capsys):
     )
     assert code == 2
     assert "repro:" in capsys.readouterr().err
+
+
+def test_verify_governed_recording_is_unusable(tmp_path, capsys):
+    # A budget of 4 walks fib's ladder to L3: the live cube is degraded,
+    # the replay rebuilds a full one, so the recording cannot verify it.
+    # That is an unusable recording (exit 2), not silent corruption (1).
+    record_dir, arch = tmp_path / "rec", tmp_path / "arch"
+    assert main(
+        ["run", "fib", "--size", "test", "--threads", "2",
+         "--memory-budget", "4", "--record", str(record_dir),
+         "--archive", str(arch)]
+    ) == 0
+    capsys.readouterr()
+    assert main(["verify", str(record_dir)]) == 2
+    out = capsys.readouterr().out
+    assert "UNUSABLE" in out and "DIVERGED" not in out
+    assert "resource governor (ladder level L3 stub-only)" in out
+    # --against reads the level off the archived cube, even when the
+    # manifest does not carry it
+    manifest = load_manifest(str(record_dir))
+    del manifest["governor_level"]
+    write_manifest(str(record_dir), manifest)
+    assert main(
+        ["verify", str(record_dir), "--against", "r0001",
+         "--archive", str(arch)]
+    ) == 2
+    assert "resource governor (ladder level L3" in capsys.readouterr().out
+
+
+def test_verify_l0_governed_recording_matches(tmp_path, capsys):
+    record_dir = tmp_path / "rec"
+    assert main(
+        ["run", "fib", "--size", "test", "--threads", "2",
+         "--memory-budget", "100", "--record", str(record_dir)]
+    ) == 0
+    capsys.readouterr()
+    assert "governor_level" not in load_manifest(str(record_dir))
+    assert main(["verify", str(record_dir)]) == 0
+    assert "MATCH" in capsys.readouterr().out

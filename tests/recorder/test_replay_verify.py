@@ -6,6 +6,7 @@ from repro.archive.store import content_hash
 from repro.cube.export import profile_to_dict
 from repro.errors import RecordingError, ReplayDivergence
 from repro.faults.campaign import run_tolerant
+from repro.governor import MemoryBudget
 from repro.recorder import (
     diff_profile_dicts,
     rebuild_profile,
@@ -158,3 +159,34 @@ def test_diff_profile_dicts_names_missing_keys():
     diffs = diff_profile_dicts({"only_live": 1}, {"only_replay": 2})
     assert any("missing in live" in d for d in diffs)
     assert any("missing in replayed" in d for d in diffs)
+
+
+@pytest.mark.parametrize("budget,level", [(4, 3), (6, 3), (8, 3), (10, 2), (16, 1)])
+def test_governed_recording_off_l0_is_unusable(tmp_path, budget, level):
+    # Even L1, which leaves the call trees alone, stamps pressure
+    # incidents into the live cube that a replay cannot reproduce.
+    record_dir = str(tmp_path / "rec")
+    outcome = run_tolerant(
+        "fib", size="test", n_threads=2, seed=0,
+        record_dir=record_dir, memory_budget=MemoryBudget(max_live_instances=budget),
+    )
+    assert outcome.status == "complete"
+    assert outcome.governor_report["level"] == level
+    assert load_manifest(record_dir)["governor_level"] == level
+    for report in (
+        verify_recording(record_dir),
+        verify_recording(record_dir, expected_dict=profile_to_dict(outcome.profile)),
+    ):
+        assert report.exit_code == 2
+        assert not report.usable
+        assert f"resource governor (ladder level L{level} " in report.reasons[-1]
+
+
+def test_l0_governed_recording_still_matches(tmp_path):
+    record_dir = str(tmp_path / "rec")
+    run_tolerant(
+        "fib", size="test", n_threads=2, seed=0,
+        record_dir=record_dir, memory_budget=MemoryBudget(max_live_instances=100),
+    )
+    report = verify_recording(record_dir)
+    assert report.exit_code == 0 and report.matched

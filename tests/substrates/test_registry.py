@@ -40,9 +40,9 @@ def test_get_substrate_instantiates_builtin(name, cls):
 
 
 def test_get_substrate_forwards_kwargs():
-    substrate = get_substrate("profiling", max_call_path_depth=3, strict=False)
+    substrate = get_substrate("profiling", max_call_path_depth=3, per_event_cost=0.5)
     assert substrate.max_call_path_depth == 3
-    assert substrate.strict is False
+    assert substrate.per_event_cost == 0.5
 
 
 def test_unknown_name_raises_with_suggestion():
