@@ -168,8 +168,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_parser.add_argument(
         "--checkpoint-every", type=int, default=None, metavar="N",
-        help="checkpoint profiler state every N recorded events "
-             "(requires --record)",
+        help="checkpoint profiler state at the first batch boundary "
+             "past each multiple of N recorded events (requires --record)",
     )
     _add_budget_arguments(run_parser)
 

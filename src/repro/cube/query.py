@@ -9,29 +9,25 @@ from repro.profiling.profile import Profile
 
 
 def _flat_by_handle(profile: Profile, include_stubs: bool):
-    """Group the profile's flat metric columns by region handle.
+    """Sum the profile's flat metric columns per region handle.
 
     Returns ``(regions, exclusive, inclusive, visits)`` where ``regions``
-    is handle -> Region in first-encounter order and the three arrays are
-    indexable by handle.  ``np.bincount`` accumulates each bin in row
-    order (a sequential C fold), so the per-handle sums are bit-identical
-    to a row-by-row dict fold.  Returns ``None`` for an empty profile.
+    is handle -> Region in first-encounter order and the three dicts map
+    each handle to its sum, folded row by row in row order.  Returns
+    ``None`` for an empty profile.
     """
-    # imported on use: runs that never get here never load numpy
-    import numpy as _np
-
     handles, regions, exclusive, inclusive, visits = profile.flat_metric_columns(
         include_stubs
     )
     if not handles:
         return None
-    h = _np.asarray(handles, dtype=_np.int64)
-    minlength = int(h.max()) + 1
-    excl = _np.bincount(h, weights=_np.asarray(exclusive), minlength=minlength)
-    incl = _np.bincount(h, weights=_np.asarray(inclusive), minlength=minlength)
-    vis = _np.bincount(
-        h, weights=_np.asarray(visits, dtype=_np.float64), minlength=minlength
-    )
+    excl = dict.fromkeys(regions, 0.0)
+    incl = dict.fromkeys(regions, 0.0)
+    vis = dict.fromkeys(regions, 0)
+    for handle, e, i, v in zip(handles, exclusive, inclusive, visits):
+        excl[handle] += e
+        incl[handle] += i
+        vis[handle] += v
     return regions, excl, incl, vis
 
 
@@ -63,9 +59,8 @@ def top_regions(
 ) -> List[Tuple[str, float]]:
     """Program-wide region ranking by summed exclusive (or inclusive) time.
 
-    Array-backed: the per-handle sums come from one ``bincount`` over the
-    profile's flat metric columns; names combine handle subtotals in
-    first-encounter order, so results match a row-by-row fold exactly.
+    The per-handle sums fold the profile's flat metric columns; names
+    combine handle subtotals in first-encounter order.
     """
     if metric not in ("exclusive", "inclusive"):
         raise ValueError(f"unknown metric {metric!r}")
@@ -76,7 +71,7 @@ def top_regions(
     column = excl if metric == "exclusive" else incl
     totals: Dict[str, float] = {}
     for handle, region in regions.items():
-        totals[region.name] = totals.get(region.name, 0.0) + float(column[handle])
+        totals[region.name] = totals.get(region.name, 0.0) + column[handle]
     ranked = sorted(totals.items(), key=lambda kv: kv[1], reverse=True)
     return ranked[:limit]
 
@@ -86,7 +81,7 @@ def flat_region_profile(profile: Profile) -> Dict[str, Dict[str, float]]:
 
     Returns ``region name -> {exclusive, inclusive, visits}`` summed over
     every occurrence in every tree (stub nodes excluded, since their time
-    is an alternate attribution of task execution).  Array-backed via the
+    is an alternate attribution of task execution), folded from the
     profile's flat metric columns.
     """
     flat: Dict[str, Dict[str, float]] = {}
@@ -98,9 +93,9 @@ def flat_region_profile(profile: Profile) -> Dict[str, Dict[str, float]]:
         entry = flat.setdefault(
             region.name, {"exclusive": 0.0, "inclusive": 0.0, "visits": 0}
         )
-        entry["exclusive"] += float(excl[handle])
-        entry["inclusive"] += float(incl[handle])
-        entry["visits"] += int(vis[handle])
+        entry["exclusive"] += excl[handle]
+        entry["inclusive"] += incl[handle]
+        entry["visits"] += vis[handle]
     return flat
 
 

@@ -26,9 +26,9 @@ An event is **one append to each of two flat columns**:
 ``times``  (``array('d')``)
     the virtual timestamp per event, bit-exact.
 
-Both columns expose the buffer protocol, so a numpy-capable consumer
-(the stats substrate) can ``np.frombuffer`` them with **zero copies**;
-per-event consumers receive the batch through :func:`replay`.
+Native consumers read the columns directly (the stats substrate counts
+the codes in one C-level pass); per-event consumers receive the batch
+through :func:`replay`.
 
 Rare payloads (enter parameters, metric counter dicts) live out-of-band
 in ``payloads``, a ``{event index -> object}`` dict, keeping the hot

@@ -47,8 +47,8 @@ class DieAtRecordSubstrate(RecorderSubstrate):
         super().__init__(**kwargs)
         self.die_after_records = die_after_records
 
-    def _append(self, record: tuple, time: Optional[float] = None) -> None:
-        super()._append(record, time)
+    def _append(self, record: tuple) -> None:
+        super()._append(record)
         if self.records == self.die_after_records:
             os.kill(os.getpid(), signal.SIGKILL)
 

@@ -190,10 +190,8 @@ class Profile:
         parallel columns ``(handles, regions, exclusive, inclusive,
         visits)`` where ``regions`` maps each handle to its
         :class:`~repro.events.regions.Region` in first-encounter order.
-        The columns are the array-backed substrate for the flat cube
-        queries (:mod:`repro.cube.query`): grouping them by handle with
-        ``np.bincount`` is a sequential per-bin fold in row order,
-        bit-identical to accumulating a dict row by row.
+        The flat cube queries (:mod:`repro.cube.query`) fold them per
+        handle in row order.
         """
         handles: List[int] = []
         regions: Dict[int, Region] = {}

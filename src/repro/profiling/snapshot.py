@@ -12,7 +12,6 @@ is single-threaded per run, so there is no torn-state race either.
 
 from __future__ import annotations
 
-import copy
 import pickle
 
 from repro.profiling.salvage import SalvageReport
@@ -25,15 +24,11 @@ def _clone_profiler(profiler: TaskProfiler) -> TaskProfiler:
     Checkpoints run on the measured run's clock, so the copy is the
     snapshot's whole cost: a ``pickle`` round-trip is several times
     faster than ``copy.deepcopy`` on real call trees and produces the
-    same object graph.  Profilers holding unpicklable state (e.g. a
-    governor whose gauge is a lambda) fall back to ``deepcopy``.
+    same object graph.  The copy comes without the governor
+    (:meth:`TaskProfiler.__getstate__`), which finishing and packaging
+    it never consult.
     """
-    try:
-        return pickle.loads(
-            pickle.dumps(profiler, protocol=pickle.HIGHEST_PROTOCOL)
-        )
-    except Exception:
-        return copy.deepcopy(profiler)
+    return pickle.loads(pickle.dumps(profiler, protocol=pickle.HIGHEST_PROTOCOL))
 
 
 def snapshot_profiler(profiler: TaskProfiler, time: float):

@@ -492,6 +492,17 @@ class TaskProfiler:
             governor.on_level(L1_EAGER_RELEASE, self._ladder_eager_release)
             governor.on_level(L2_AGGREGATES_ONLY, self._ladder_aggregates_only)
 
+    def __getstate__(self) -> dict:
+        """Pickle everything but the governor.
+
+        The governor belongs to the live run and holds closures (its
+        ``pool_nodes`` gauge), so it does not pickle; a copy is only
+        finished and packaged, which never consults it.
+        """
+        state = self.__dict__.copy()
+        state["governor"] = None
+        return state
+
     @property
     def truncated_enters(self) -> int:
         """Region enters folded away by the call-path depth limit."""

@@ -16,7 +16,8 @@ lifecycle --
    (``on_enter`` ... ``on_metric``) and the base :meth:`on_batch` replays
    the batch through them, or it overrides :meth:`on_batch` with a
    native columnar consume.  Phase markers arrive as
-   :meth:`on_phase_begin` / :meth:`on_phase_end`.
+   :meth:`on_phase_begin` / :meth:`on_phase_end`; after every substrate
+   has consumed a batch, each gets :meth:`after_batch`.
 3. :meth:`finalize` -- called once with the region's virtual end time;
    afterwards :meth:`artifact` must return whatever the substrate
    produced (a :class:`~repro.profiling.profile.Profile`, a
@@ -136,6 +137,14 @@ class Substrate:
         this method with a native columnar consume -- never both.
         """
         replay(batch, self)
+
+    def after_batch(self, batch: EventBatch) -> None:
+        """Called once every substrate has consumed ``batch``.
+
+        All substrates then stand at the same event prefix, so a
+        substrate that reads another's state (the recorder's checkpoint
+        snapshots the profiler) does it here.
+        """
 
     def __repr__(self) -> str:
         flags = []

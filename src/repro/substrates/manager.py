@@ -110,6 +110,7 @@ class SubstrateManager:
             if _overrides(s, "on_batch")
             or any(_overrides(s, cb) for cb in _EVENT_CALLBACKS)
         ]
+        self._targets_after_batch = [s for s in active if _overrides(s, "after_batch")]
         self._targets_on_phase_begin = [
             s for s in active if _overrides(s, "on_phase_begin")
         ]
@@ -253,7 +254,9 @@ class SubstrateManager:
         One dispatch call per *flush*, with each substrate consuming the
         whole batch (natively or through the base-class replay shim).
         Every substrate observes every event in stream order; the
-        interleaving *between* substrates is per batch.
+        interleaving *between* substrates is per batch.  Once all have
+        consumed the batch, ``after_batch`` runs: there, whatever the
+        attachment order, every substrate has seen the same prefix.
 
         Quarantine semantics: an exception from a non-essential
         substrate quarantines it.  The incident's ``events_delivered`` is
@@ -268,6 +271,13 @@ class SubstrateManager:
                 if substrate.essential:
                     raise
                 self._quarantine(substrate, "on_batch", exc)
+        for substrate in self._targets_after_batch:
+            try:
+                substrate.after_batch(batch)
+            except Exception as exc:
+                if substrate.essential:
+                    raise
+                self._quarantine(substrate, "after_batch", exc)
 
     def on_finish(self, time: float) -> None:
         """End of measurement: finalize the still-active substrates.

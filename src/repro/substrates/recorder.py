@@ -4,10 +4,13 @@ Every event the manager's batches replay into the POMP2 callbacks is
 appended -- as a plain tuple, no encoding on the hot path -- to a
 :class:`ChunkWriter` that seals batches into CRC32-checksummed,
 sequence-numbered chunks in ``<record_dir>/events.chunks``.
-Periodically (every ``checkpoint_every`` records) the substrate fsyncs
-the sealed prefix and writes ``checkpoint.json``: a canonical-JSON cube
-partial snapshot of the live profiler plus the stream cursor, via
-``atomic_write``.
+Periodically (see ``checkpoint_every``) the substrate fsyncs the sealed
+prefix and writes ``checkpoint.json``: a canonical-JSON cube partial
+snapshot of the live profiler plus the stream cursor, via
+``atomic_write``.  A checkpoint is taken only after the manager's
+fan-out of a batch (:meth:`RecorderSubstrate.after_batch`), when the
+profiler and the recorder have both consumed exactly the same event
+prefix, so its profile, ``time`` and cursor all describe that prefix.
 
 The contract this buys:
 
@@ -54,6 +57,10 @@ class RecorderSubstrate(Substrate):
     (``self.profiler``) after substrate setup so checkpoints can
     snapshot real profiling state; without it, checkpoints still record
     the stream cursor.
+
+    ``checkpoint_every`` is a cadence in records: a checkpoint fires at
+    the first batch boundary at or past each multiple of it, at most
+    once per batch.  Its ``time`` is the last event time of the batch.
     """
 
     name = "recorder"
@@ -89,7 +96,6 @@ class RecorderSubstrate(Substrate):
         self.warm_start: Optional[dict] = None
         self._init_pending: Optional[tuple] = None
         self._next_checkpoint = checkpoint_every
-        self._last_time: float = 0.0
         self._finish_time: Optional[float] = None
 
     # -- lifecycle ------------------------------------------------------
@@ -125,7 +131,6 @@ class RecorderSubstrate(Substrate):
         # place), so `_append` appends to it without a method call per
         # record.
         self._pending = self.writer.buffer
-        self._last_time = start_time
         # The INIT record needs the profiler's depth limit, which is
         # injected after manager initialization -- defer it to first use.
         self._init_pending = (n_threads, start_time, implicit_region)
@@ -152,7 +157,7 @@ class RecorderSubstrate(Substrate):
             depth = profiler.threads[0].max_call_path_depth
         self.writer.append(("init", n_threads, start_time, implicit_region, depth))
 
-    def _append(self, record: tuple, time: Optional[float] = None) -> None:
+    def _append(self, record: tuple) -> None:
         if self._init_pending is not None:
             self._ensure_init()
         pending = self._pending
@@ -160,10 +165,15 @@ class RecorderSubstrate(Substrate):
         if len(pending) >= self.chunk_records:
             self.writer.seal()
         self.records += 1
-        if time is not None:
-            self._last_time = time
-            if self.records >= self._next_checkpoint:
-                self._checkpoint(time)
+
+    def after_batch(self, batch) -> None:
+        """Checkpoint once the stream crossed the next cadence mark.
+
+        Runs after every substrate consumed ``batch``, so the recorded
+        stream and the live profiler end at the same event.
+        """
+        if self.records >= self._next_checkpoint:
+            self._checkpoint(batch.times[-1])
 
     def _checkpoint(self, time: float) -> None:
         """Seal + fsync the stream, then snapshot profiler state.
@@ -171,7 +181,8 @@ class RecorderSubstrate(Substrate):
         Checkpoint failures are recorded but never raised: losing a
         checkpoint degrades recovery, it must not abort measurement.
         """
-        self._next_checkpoint = self.records + self.checkpoint_every
+        every = self.checkpoint_every
+        self._next_checkpoint = (self.records // every + 1) * every
         try:
             self.writer.sync()
             data = {
@@ -234,22 +245,22 @@ class RecorderSubstrate(Substrate):
     # Every record funnels through `_append`, which is also the hook a
     # subclass overrides to observe each record (DieAtRecordSubstrate).
     def on_enter(self, thread_id, region, time, parameter=None) -> None:
-        self._append(("enter", thread_id, time, region, parameter), time)
+        self._append(("enter", thread_id, time, region, parameter))
 
     def on_exit(self, thread_id, region, time) -> None:
-        self._append(("exit", thread_id, time, region), time)
+        self._append(("exit", thread_id, time, region))
 
     def on_task_begin(self, thread_id, region, instance, time, parameter=None) -> None:
-        self._append(("task_begin", thread_id, time, region, instance, parameter), time)
+        self._append(("task_begin", thread_id, time, region, instance, parameter))
 
     def on_task_end(self, thread_id, region, instance, time) -> None:
-        self._append(("task_end", thread_id, time, region, instance), time)
+        self._append(("task_end", thread_id, time, region, instance))
 
     def on_task_switch(self, thread_id, instance, time) -> None:
-        self._append(("task_switch", thread_id, time, instance), time)
+        self._append(("task_switch", thread_id, time, instance))
 
     def on_metric(self, thread_id, counters, time) -> None:
-        self._append(("metric", thread_id, time, counters), time)
+        self._append(("metric", thread_id, time, counters))
 
     def on_phase_begin(self, name: str) -> None:
         self._append(("phase_begin", name))

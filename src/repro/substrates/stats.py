@@ -10,12 +10,15 @@ breakdown (paper Section V).
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, List, Optional
 
 from repro.events.batch import (
+    INST_SHIFT,
     K_ENTER,
     K_METRIC,
     KIND_MASK,
+    KIND_NAMES,
     RID_MASK,
     RID_SHIFT,
     TID_MASK,
@@ -24,6 +27,10 @@ from repro.events.batch import (
 )
 from repro.events.regions import Region, RegionRegistry
 from repro.substrates.base import Substrate
+
+#: Keeps a packed code's kind, payload flag, thread and region bits: the
+#: task-instance id above them never changes a count.
+_KEY_MASK = (1 << INST_SHIFT) - 1
 
 
 class StatsSubstrate(Substrate):
@@ -36,14 +43,7 @@ class StatsSubstrate(Substrate):
         self.per_event_cost = per_event_cost
         self.n_threads = 0
         self.per_thread: List[int] = []
-        self.per_kind: Dict[str, int] = {
-            "enter": 0,
-            "exit": 0,
-            "task_begin": 0,
-            "task_end": 0,
-            "task_switch": 0,
-            "metric": 0,
-        }
+        self.per_kind: Dict[str, int] = dict.fromkeys(KIND_NAMES, 0)
         #: enter events per region type (the exit mirrors the enter, so
         #: counting one side keeps region visits un-double-counted)
         self.per_region_type: Dict[str, int] = {}
@@ -60,41 +60,26 @@ class StatsSubstrate(Substrate):
 
     # -- native columnar consume ----------------------------------------
     def on_batch(self, batch: EventBatch) -> None:
-        """Native batch consume: pure column arithmetic, no per-event work.
+        """Native batch consume: one counting pass, no per-event Python.
 
-        One ``bincount`` over the kind bits, one over the thread bits
-        (metric rows excluded -- metrics piggyback on an existing event
-        boundary and are not per-thread traffic), and a unique-count over
-        the enters' region ids.
+        ``Counter`` tallies the codes with the instance bits masked off in
+        one C-level pass; the few distinct (kind, payload flag, thread,
+        region) keys then fold into the per-kind, per-thread (metric rows
+        excluded -- metrics piggyback on an existing event boundary and
+        are not per-thread traffic) and enter per-region-type counts.
         """
-        # imported on use: runs that never get here never load numpy
-        import numpy as _np
-
-        cd = _np.frombuffer(batch.codes, dtype=_np.int64)
-        kinds = cd & KIND_MASK
-        kind_counts = _np.bincount(kinds, minlength=K_METRIC + 1)
         per_kind = self.per_kind
-        for kind, key in enumerate(
-            ("enter", "exit", "task_begin", "task_end", "task_switch", "metric")
-        ):
-            per_kind[key] += int(kind_counts[kind])
-        non_metric = kinds != K_METRIC
-        tids = (cd >> TID_SHIFT) & TID_MASK
-        thread_counts = _np.bincount(
-            tids[non_metric], minlength=len(self.per_thread)
-        )
         per_thread = self.per_thread
-        for t, count in enumerate(thread_counts.tolist()):
-            per_thread[t] += count
-        enters = cd[kinds == K_ENTER]
-        if enters.size:
-            rids, counts = _np.unique(
-                (enters >> RID_SHIFT) & RID_MASK, return_counts=True
-            )
-            lookup = batch.registry.lookup
-            per_region_type = self.per_region_type
-            for rid, count in zip(rids.tolist(), counts.tolist()):
-                rtype = lookup(rid).region_type.value
+        per_region_type = self.per_region_type
+        for key, count in Counter(map(_KEY_MASK.__and__, batch.codes)).items():
+            kind = key & KIND_MASK
+            per_kind[KIND_NAMES[kind]] += count
+            if kind == K_METRIC:
+                continue
+            per_thread[(key >> TID_SHIFT) & TID_MASK] += count
+            if kind == K_ENTER:
+                region = batch.registry.lookup((key >> RID_SHIFT) & RID_MASK)
+                rtype = region.region_type.value
                 per_region_type[rtype] = per_region_type.get(rtype, 0) + count
 
     # ------------------------------------------------------------------

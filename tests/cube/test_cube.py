@@ -255,3 +255,167 @@ def test_export_byte_stable_with_salvage_report():
     assert outcome.status == "partial" and outcome.profile is not None
     assert outcome.profile.salvage is not None
     _assert_export_byte_stable(outcome.profile)
+
+
+# ----------------------------------------------------------------------
+# Pinned query values: every float's repr, captured when the per-handle
+# sums were numpy ``bincount`` folds, so the dict fold stays bit-identical
+# ----------------------------------------------------------------------
+#: (app, size) -> flat_region_profile, each value as its repr
+GOLDEN_FLAT = {
+    ('fib', 'small'): {
+        'fib/cutoff': {
+            'exclusive': '20.50000000000182',
+            'inclusive': '30511.324999999804',
+            'visits': '4',
+        },
+        'single': {
+            'exclusive': '8.05',
+            'inclusive': '8.05',
+            'visits': '4',
+        },
+        'create@fib_task': {
+            'exclusive': '6561.537500000308',
+            'inclusive': '6561.537500000308',
+            'visits': '1769',
+        },
+        'taskwait': {
+            'exclusive': '9925.40625000017',
+            'inclusive': '14064.475000000146',
+            'visits': '885',
+        },
+        'implicit barrier': {
+            'exclusive': '10569.581249999908',
+            'inclusive': '22863.20624999985',
+            'visits': '4',
+        },
+        'fib_task': {
+            'exclusive': '3426.2499999994156',
+            'inclusive': '16432.693749999922',
+            'visits': '1769',
+        },
+    },
+    ('nqueens', 'medium'): {
+        'nqueens/cutoff': {
+            'exclusive': '20.50000000000182',
+            'inclusive': '16844.774999999958',
+            'visits': '4',
+        },
+        'single': {
+            'exclusive': '8.05',
+            'inclusive': '8.05',
+            'visits': '4',
+        },
+        'create@nqueens_task': {
+            'exclusive': '655.9625000000157',
+            'inclusive': '655.9625000000157',
+            'visits': '447',
+        },
+        'taskwait': {
+            'exclusive': '501.1874999999872',
+            'inclusive': '4368.2374999999765',
+            'visits': '84',
+        },
+        'implicit barrier': {
+            'exclusive': '995.9749999999949',
+            'inclusive': '12613.293749999968',
+            'visits': '4',
+        },
+        'nqueens_task': {
+            'exclusive': '14663.099999999959',
+            'inclusive': '15484.368749999961',
+            'visits': '447',
+        },
+    },
+    ('sparselu', 'test'): {
+        'sparselu/single': {
+            'exclusive': '65.8833333333333',
+            'inclusive': '992.9833333333327',
+            'visits': '4',
+        },
+        'single': {
+            'exclusive': '8.05',
+            'inclusive': '8.05',
+            'visits': '4',
+        },
+        'create@fwd_task': {
+            'exclusive': '17.349999999999998',
+            'inclusive': '17.349999999999998',
+            'visits': '5',
+        },
+        'create@bdiv_task': {
+            'exclusive': '16.40000000000001',
+            'inclusive': '16.40000000000001',
+            'visits': '5',
+        },
+        'taskwait': {
+            'exclusive': '55.29999999999994',
+            'inclusive': '133.89999999999992',
+            'visits': '8',
+        },
+        'create@bmod_task': {
+            'exclusive': '26.950000000000003',
+            'inclusive': '26.950000000000003',
+            'visits': '9',
+        },
+        'implicit barrier': {
+            'exclusive': '436.0999999999995',
+            'inclusive': '724.4499999999995',
+            'visits': '4',
+        },
+        'bdiv_task': {
+            'exclusive': '66.25',
+            'inclusive': '66.25',
+            'visits': '5',
+        },
+        'bmod_task': {
+            'exclusive': '234.44999999999993',
+            'inclusive': '234.44999999999993',
+            'visits': '9',
+        },
+        'fwd_task': {
+            'exclusive': '66.25',
+            'inclusive': '66.25',
+            'visits': '5',
+        },
+    },
+}
+
+#: (app, size) -> top_regions(limit=5), each value as its repr
+GOLDEN_TOP5 = {
+    ('fib', 'small'): [
+        ('implicit barrier', '10569.581249999908'),
+        ('taskwait', '9925.40625000017'),
+        ('create@fib_task', '6561.537500000308'),
+        ('fib_task', '3426.2499999994156'),
+        ('fib/cutoff', '20.50000000000182'),
+    ],
+    ('nqueens', 'medium'): [
+        ('nqueens_task', '14663.099999999959'),
+        ('implicit barrier', '995.9749999999949'),
+        ('create@nqueens_task', '655.9625000000157'),
+        ('taskwait', '501.1874999999872'),
+        ('nqueens/cutoff', '20.50000000000182'),
+    ],
+    ('sparselu', 'test'): [
+        ('implicit barrier', '436.0999999999995'),
+        ('bmod_task', '234.44999999999993'),
+        ('bdiv_task', '66.25'),
+        ('fwd_task', '66.25'),
+        ('sparselu/single', '65.8833333333333'),
+    ],
+}
+
+
+@pytest.mark.parametrize("app,size", sorted(GOLDEN_FLAT))
+def test_flat_queries_match_pinned_values(app, size):
+    profile = run_app(app, size=size, n_threads=4, seed=1).profile
+    flat = flat_region_profile(profile)
+    assert {
+        name: {key: repr(value) for key, value in entry.items()}
+        for name, entry in flat.items()
+    } == GOLDEN_FLAT[app, size]
+    assert list(flat) == list(GOLDEN_FLAT[app, size])  # first-encounter order
+    assert [
+        (name, repr(value)) for name, value in top_regions(profile, limit=5)
+    ] == GOLDEN_TOP5[app, size]

@@ -314,14 +314,17 @@ GOLDEN_CORRUPTED_REBUILDS = {
 }
 
 #: recording -> (events at the last checkpoint, checkpoint profile sha256)
+#: Checkpoints land on batch boundaries, where the profiler and the
+#: recorder have consumed the same prefix; the ungoverned snapshot is the
+#: lenient rebuild of that prefix (tests/recorder/test_substrate_store.py).
 GOLDEN_CHECKPOINTS = {
     "governed": (
-        10000,
-        "84fdbbb5b11ebe14033402e281b12c87239404521034ae5ea33d33f5ea33f9f8",
+        10006,
+        "8ce555e8f5c2b95fb1e8d65bc4aed02e529aa036f04c11d738b1c60e3bc5b763",
     ),
     "ungoverned": (
-        10000,
-        "8a172275120e41c6a7731d2835b240edc521a0d2a5ff9381177c5ce7e7bb04e4",
+        10244,
+        "f0790f21391fb2d5900dbf7115213a78c5a19f486bf4967ba41905e874831395",
     ),
 }
 

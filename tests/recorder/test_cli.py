@@ -21,7 +21,8 @@ def recorded(tmp_path, capsys):
     return record_dir
 
 
-def _tear(record_dir, nbytes=40):
+def _tear(record_dir, nbytes=20):
+    """Cut into the last chunk (FIN): the sealed prefix before it stays."""
     path = events_path(str(record_dir))
     data = open(path, "rb").read()
     open(path, "wb").write(data[: len(data) - nbytes])

@@ -24,7 +24,7 @@ def recorded(tmp_path_factory):
     record_dir = tmp_path_factory.mktemp("rec") / "run"
     outcome = run_tolerant(
         "fib", size="test", n_threads=2, seed=0,
-        record_dir=str(record_dir), checkpoint_every=32,
+        record_dir=str(record_dir), checkpoint_every=32, chunk_records=32,
     )
     assert outcome.status == "complete"
     return str(record_dir), outcome

@@ -24,6 +24,7 @@ def recorded(tmp_path):
         seed=0,
         record_dir=str(record_dir),
         checkpoint_every=32,
+        chunk_records=32,  # many sealed chunks: a torn tail loses only the last
     )
     assert outcome.status == "complete"
     return str(record_dir)

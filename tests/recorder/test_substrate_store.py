@@ -1,5 +1,6 @@
 """The recording substrate end-to-end: manifests, checkpoints, warm starts."""
 
+import json
 import os
 
 import pytest
@@ -135,3 +136,111 @@ def test_stale_checkpoint_version_is_ignored(tmp_path):
 
     atomic_write(checkpoint_path(str(tmp_path)), '{"version": 99, "records": 5}')
     assert load_checkpoint(str(tmp_path)) is None
+
+
+# ----------------------------------------------------------------------
+# Checkpoint consistency: profile, time and cursor name one event prefix
+# ----------------------------------------------------------------------
+def _record_profiling_first(record_dir, checkpoint_every):
+    from repro.analysis.experiment import run_app
+    from repro.substrates.recorder import RecorderSubstrate
+
+    run_app(
+        "fib", size="small", variant="stress", n_threads=4, seed=0,
+        substrates=(
+            "profiling",
+            RecorderSubstrate(record_dir, checkpoint_every=checkpoint_every),
+        ),
+    )
+
+
+def _record_recorder_first(record_dir, checkpoint_every):
+    run_tolerant(
+        "fib", size="small", n_threads=4, seed=0,
+        record_dir=record_dir, checkpoint_every=checkpoint_every,
+    )
+
+
+def _without_salvage(profile_dict):
+    data = json.loads(json.dumps(profile_dict))
+    data.pop("salvage", None)
+    return data
+
+
+@pytest.mark.parametrize("checkpoint_every", [500, 2000])
+@pytest.mark.parametrize(
+    "record", [_record_profiling_first, _record_recorder_first],
+    ids=["profiling-first", "recorder-first"],
+)
+def test_checkpoint_profile_is_the_rebuild_of_its_prefix(tmp_path, record, checkpoint_every):
+    """The snapshot equals a lenient rebuild of exactly the records its
+    cursor names, finished at its ``time``, whatever the substrate order."""
+    from repro.cube.export import profile_to_dict
+    from repro.recorder import rebuild_profile
+
+    record_dir = str(tmp_path / "rec")
+    record(record_dir, checkpoint_every)
+    checkpoint = load_checkpoint(record_dir)
+    cursor = checkpoint["cursor"]["records"]
+    prefix = read_records(events_path(record_dir)).records[:cursor]
+    assert cursor == checkpoint["records"] + 1  # the init record
+    timed = [r for r in prefix if r[0] not in ("init", "phase_begin", "phase_end")]
+    assert checkpoint["time"] == timed[-1][2]  # the prefix's last event time
+    rebuilt = rebuild_profile(prefix, strict=False, finish_time=checkpoint["time"])
+    assert _without_salvage(checkpoint["profile"]) == _without_salvage(
+        profile_to_dict(rebuilt)
+    )
+
+
+def test_checkpoints_fire_once_per_batch_at_the_cadence(tmp_path, monkeypatch):
+    from repro.governor import MemoryBudget
+    from repro.substrates.recorder import RecorderSubstrate
+
+    boundaries, taken = [], []
+    after_batch = RecorderSubstrate.after_batch
+    checkpoint = RecorderSubstrate._checkpoint
+
+    def spy_after_batch(self, batch):
+        boundaries.append(self.records)
+        after_batch(self, batch)
+
+    def spy_checkpoint(self, time):
+        taken.append(self.records)
+        checkpoint(self, time)
+
+    monkeypatch.setattr(RecorderSubstrate, "after_batch", spy_after_batch)
+    monkeypatch.setattr(RecorderSubstrate, "_checkpoint", spy_checkpoint)
+    run_tolerant(
+        "fib", size="small", n_threads=4, seed=0, record_dir=str(tmp_path / "rec"),
+        checkpoint_every=2000, memory_budget=MemoryBudget(max_live_instances=8),
+    )
+    assert taken and set(taken) <= set(boundaries)
+    # the first boundary at or past each multiple of the cadence
+    expected, mark = [], 2000
+    for records in boundaries:
+        if records >= mark:
+            expected.append(records)
+            mark = (records // 2000 + 1) * 2000
+    assert taken == expected
+    assert load_checkpoint(str(tmp_path / "rec"))["records"] == taken[-1]
+
+
+def test_governed_checkpoints_pickle_the_profiler(tmp_path, monkeypatch):
+    """A governed profiler's snapshot clone leaves the governor behind
+    instead of falling back to a deep copy."""
+    import copy
+
+    from repro.governor import MemoryBudget
+
+    def no_deepcopy(*args, **kwargs):
+        raise AssertionError("checkpoint deep-copied the profiler")
+
+    monkeypatch.setattr(copy, "deepcopy", no_deepcopy)
+    record_dir = str(tmp_path / "rec")
+    run_tolerant(
+        "fib", size="small", n_threads=4, seed=0, record_dir=record_dir,
+        checkpoint_every=500, memory_budget=MemoryBudget(max_live_instances=10**6),
+    )
+    manifest = load_manifest(record_dir)
+    assert manifest["checkpoints"] > 0
+    assert manifest["checkpoint_errors"] == 0

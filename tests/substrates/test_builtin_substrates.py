@@ -84,6 +84,90 @@ def test_stats_counts_per_kind_thread_and_region_type(registry):
     assert artifact["per_region_type"] == {"function": 1}
 
 
+def _stats_events(registry, case):
+    """(kind, thread, region, instance, parameter) rows for one case."""
+    func = registry.register("f", RegionType.FUNCTION)
+    single = registry.register("s", RegionType.SINGLE, handle=2**14 + 3)
+    barrier = registry.register("b", RegionType.IMPLICIT_BARRIER, handle=2**19 + 5)
+    task = registry.register("t", RegionType.TASK, handle=2**20 - 1)
+    if case == "empty":
+        return []
+    if case == "no-enters":
+        return [
+            ("exit", 0, func, None, None),
+            ("task_begin", 1023, task, 7, (1,)),
+            ("task_switch", 5, None, -3, None),
+            ("task_end", 1023, task, 7, None),
+            ("metric", 1023, None, None, {"c": 2}),
+        ]
+    if case == "metrics":
+        return [
+            ("metric", t, None, None, {"c": t}) for t in (0, 1, 1, 1023)
+        ] + [("enter", 1, func, None, None)]
+    if case == "parameterised-enters":
+        return [
+            ("enter", 0, func, None, (1, 2)),
+            ("enter", 0, func, None, None),
+            ("enter", 3, single, None, ("x",)),
+            ("exit", 3, single, None, None),
+        ]
+    # "wide": every thread-id and region-handle range, instance ids too
+    rows = []
+    for t in (0, 1, 511, 1022, 1023):
+        for region in (func, single, barrier):
+            rows.append(("enter", t, region, None, (t,) if t % 2 else None))
+            rows.append(("exit", t, region, None, None))
+        rows.append(("task_begin", t, task, t * 2**18 + 1, None))
+        rows.append(("task_switch", t, None, -(t + 1), None))
+        rows.append(("task_end", t, task, t * 2**18 + 1, None))
+        rows.append(("metric", t, None, None, {"c": t}))
+    return rows
+
+
+@pytest.mark.parametrize(
+    "case", ["empty", "no-enters", "metrics", "parameterised-enters", "wide"]
+)
+def test_stats_counts_match_a_per_event_fold(registry, case):
+    rows = _stats_events(registry, case)
+    stats = StatsSubstrate()
+    stats.initialize(registry, 1024, 0.0)
+    for half in (rows[: len(rows) // 2], rows[len(rows) // 2 :]):
+        batch = EventBatch(registry)
+        for kind, thread, region, instance, parameter in half:
+            if kind == "enter":
+                batch.add_enter(thread, region, 1.0, parameter)
+            elif kind == "exit":
+                batch.add_exit(thread, region, 1.0)
+            elif kind == "task_begin":
+                batch.add_task_begin(thread, region, instance, 1.0, parameter)
+            elif kind == "task_end":
+                batch.add_task_end(thread, region, instance, 1.0)
+            elif kind == "task_switch":
+                batch.add_task_switch(thread, instance, 1.0)
+            else:
+                batch.add_metric(thread, parameter, 1.0)
+        stats.on_batch(batch)
+
+    per_kind = dict.fromkeys(
+        ("enter", "exit", "task_begin", "task_end", "task_switch", "metric"), 0
+    )
+    per_thread = [0] * 1024
+    per_region_type = {}
+    for kind, thread, region, _instance, _parameter in rows:
+        per_kind[kind] += 1
+        if kind != "metric":
+            per_thread[thread] += 1
+        if kind == "enter":
+            rtype = region.region_type.value
+            per_region_type[rtype] = per_region_type.get(rtype, 0) + 1
+    assert stats.artifact() == {
+        "total_events": sum(per_thread),
+        "per_thread": per_thread,
+        "per_kind": per_kind,
+        "per_region_type": dict(sorted(per_region_type.items())),
+    }
+
+
 # ----------------------------------------------------------------------
 # OnlineValidationSubstrate
 # ----------------------------------------------------------------------
