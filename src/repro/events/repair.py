@@ -274,7 +274,10 @@ def repair_streams(
 
     Cross-thread consistency (an instance begun on two threads) is
     handled by the profiler's shared instance table during replay; this
-    pass is purely per-thread.
+    pass is purely per-thread, with one instance table per stream, so it
+    assumes tied tasks: an untied instance that legally resumed on
+    another thread looks like an orphan there, and its switch is dropped
+    and the instance quarantined.
     """
     log = RepairLog()
     repaired: Dict[int, List[AnyEvent]] = {}

@@ -36,16 +36,18 @@ yields, which preserves the historical stop-at-first-error semantics and
 exact messages.
 
 The task rules live only in :class:`TaskStreamChecker`, the cross-thread
-rules only in :class:`TraceClosure`.  The online-validation substrate
-(:mod:`repro.substrates.validation`) drives both from batch columns with
-one instance table shared by all threads; the whole-trace walk here is
-thread-major, with one table per stream.
+rules only in :class:`TraceClosure`, whose one instance table lets an
+untied instance resume on any thread (paper Section IV-D1).  The online
+substrate (:mod:`repro.substrates.validation`) walks it in dispatch
+order, :func:`collect_trace_violations` over the merged trace.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from typing import Container, Dict, Iterable, Iterator, List, Optional, Tuple, Type
+from operator import attrgetter, itemgetter
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Type
 
 from repro.errors import EventOrderError, ReproError, ValidationError
 from repro.events.batch import K_ENTER, K_EXIT, K_TASK_BEGIN, K_TASK_END, K_TASK_SWITCH
@@ -185,15 +187,21 @@ def collect_nesting_violations(events: Iterable[AnyEvent]) -> List[Violation]:
 # Task-aware consistency rules
 # ----------------------------------------------------------------------
 class _InstanceState:
-    """Book-keeping for one task instance during task-aware validation."""
+    """Book-keeping for one task instance during task-aware validation;
+    :class:`TraceClosure` keeps its begin/end counts and first TaskBegin."""
 
-    __slots__ = ("begun", "ended", "stack", "bound_thread")
+    __slots__ = ("begun", "ended", "stack", "bound_thread",
+                 "begins", "ends", "first_thread", "first_index")
 
     def __init__(self) -> None:
         self.begun = False
         self.ended = False
         self.stack: List[Region] = []
         self.bound_thread: Optional[int] = None
+        self.begins = 0
+        self.ends = 0
+        self.first_thread = 0
+        self.first_index = 0
 
 
 class TaskStreamChecker:
@@ -211,23 +219,20 @@ class TaskStreamChecker:
     re-attributed to the actually-current instance.
 
     ``states`` may be shared/inspected by the caller (it is mutated in
-    place); the online substrate shares one table across every thread's
-    checker.  ``known_active`` may likewise be a live, externally-growing
-    collection of instances begun on other threads (untied migration).
+    place); :class:`TraceClosure` shares one table across every thread's
+    checker, so each sees the instances begun on the others.
     """
 
-    __slots__ = ("thread_id", "tied", "known_active", "states", "_implicit", "_current", "_index")
+    __slots__ = ("thread_id", "tied", "states", "_implicit", "_current", "_index")
 
     def __init__(
         self,
         thread_id: int = 0,
         tied: bool = True,
-        known_active: Optional[Container[int]] = None,
         states: Optional[Dict[int, _InstanceState]] = None,
     ) -> None:
         self.thread_id = thread_id
         self.tied = tied
-        self.known_active = known_active
         self.states: Dict[int, _InstanceState] = states if states is not None else {}
         self._implicit = implicit_instance_id(thread_id)
         self._current = self._implicit
@@ -363,15 +368,6 @@ class TaskStreamChecker:
                     )
                     return out
             else:
-                migrated = (
-                    not self.tied
-                    and self.known_active is not None
-                    and instance in self.known_active
-                    and state is None
-                )
-                if migrated:
-                    state = self._state_of(instance)
-                    state.begun = True
                 if state is None or not state.begun or state.ended:
                     out.append(
                         Violation(
@@ -476,15 +472,18 @@ def collect_task_stream_violations(
 # Whole-program traces
 # ----------------------------------------------------------------------
 class TraceClosure:
-    """The cross-thread rules, shared by the offline and online validators:
-    per-thread time order, and one TaskBegin and one TaskEnd per explicit
-    instance program-wide (checked by :meth:`finish`)."""
+    """The whole-program walk both validators drive: one untied (events
+    do not say which tasks are tied) :class:`TaskStreamChecker` per
+    thread over one shared instance table, per-thread time order, and one
+    TaskBegin and one TaskEnd per explicit instance (:meth:`finish`).
+    Feed each thread's events in order, threads interleaved as they ran.
+    """
 
-    __slots__ = ("begun", "ended", "_last_time")
+    __slots__ = ("checkers", "states", "_last_time")
 
-    def __init__(self) -> None:
-        self.begun: Dict[int, int] = {}  # in first-seen order
-        self.ended: Dict[int, int] = {}
+    def __init__(self, n_threads: int) -> None:
+        self.states: Dict[int, _InstanceState] = {}
+        self.checkers = [TaskStreamChecker(t, False, self.states) for t in range(n_threads)]
         self._last_time: Dict[int, float] = {}
 
     def feed(
@@ -512,58 +511,71 @@ class TraceClosure:
                     f"{last} on thread {thread_id}",
                 ),
             )
+        # A TaskBegin/TaskEnd always leaves its instance in the table.
         if kind == K_TASK_BEGIN:
-            self.begun[instance] = self.begun.get(instance, 0) + 1
+            state = self.states[instance]
+            # Each thread's events arrive in order, so only a begin on a
+            # lower thread moves the thread-major first one.
+            if not state.begins or thread_id < state.first_thread:
+                state.first_thread = thread_id
+                state.first_index = checker.events_seen
+            state.begins += 1
         elif kind == K_TASK_END:
-            self.ended[instance] = self.ended.get(instance, 0) + 1
+            self.states[instance].ends += 1
         return out
 
     def finish(self) -> Iterator[Violation]:
-        """Yield the program-wide begin/end count violations."""
-        ended = self.ended
-        for instance, count in self.begun.items():
-            if count != 1:
+        """Yield the program-wide begin/end count violations, instances in
+        thread-major order of their first TaskBegin."""
+        states = self.states
+        miscounted = sorted(
+            (state.first_thread, state.first_index, instance)
+            for instance, state in states.items()
+            if state.begins and (state.begins != 1 or state.ends != 1)
+        )
+        for _, _, instance in miscounted:
+            state = states[instance]
+            if state.begins != 1:
                 yield Violation(
                     -1,
                     "begin-count",
-                    f"instance {instance} has {count} TaskBegin events",
+                    f"instance {instance} has {state.begins} TaskBegin events",
                 )
-            if ended.get(instance, 0) != 1:
+            if state.ends != 1:
                 yield Violation(
                     -1,
                     "end-count",
-                    f"instance {instance} begun but ended {ended.get(instance, 0)} times",
+                    f"instance {instance} begun but ended {state.ends} times",
                 )
-        extra = set(ended) - set(self.begun)
+        extra = sorted(i for i, state in states.items() if state.ends and not state.begins)
         if extra:
             yield Violation(
                 -1,
                 "end-without-begin",
-                f"TaskEnd without TaskBegin for instance(s) {sorted(extra)}",
+                f"TaskEnd without TaskBegin for instance(s) {extra}",
             )
 
 
-def _trace_violations(trace) -> Iterator[Violation]:
-    """Thread-major, one instance table per stream: per stream its
-    time-order violations, then its task-rule violations; counts last.
-    The first 20 become salvage notes, so the fault-grid goldens pin this
-    order."""
-    closure = TraceClosure()
+def collect_trace_violations(trace) -> List[Violation]:
+    """Lenient counterpart of :func:`validate_program_trace`: every
+    violation of a whole :class:`~repro.events.stream.ProgramTrace`.
+
+    Walks the streams merged in time order (each stream keeps its own
+    order, so a skewed event still breaks its thread's time order) through
+    one :class:`TraceClosure`.  Reported per thread, its time-order
+    violations before its task-rule violations; counts last.  The first
+    20 become salvage notes, so the fault-grid goldens pin this order.
+    """
+    closure = TraceClosure(trace.n_threads)
     feed = closure.feed
-    for stream in trace.streams:
-        checker = TaskStreamChecker(stream.thread_id, False, closure.begun)
-        rules: List[Violation] = []
-        for event in stream:
-            kind, region, instance, executing = _primitives(event)
-            violations = feed(checker, event.time, kind, region, instance, executing)
-            if violations:
-                for violation in violations:
-                    if violation.kind == "time-order":
-                        yield violation
-                    else:
-                        rules.append(violation)
-        yield from rules
-    yield from closure.finish()
+    checkers = closure.checkers
+    found = []
+    for event in heapq.merge(*trace.streams, key=attrgetter("time", "thread_id")):
+        thread_id = event.thread_id
+        for violation in feed(checkers[thread_id], event.time, *_primitives(event)):
+            found.append((thread_id, violation.kind != "time-order", violation))
+    found.sort(key=itemgetter(0, 1))
+    return [violation for _, _, violation in found] + list(closure.finish())
 
 
 def validate_program_trace(trace) -> None:
@@ -572,21 +584,8 @@ def validate_program_trace(trace) -> None:
     Checks every per-thread stream with the task-aware validator and then
     the cross-thread properties of :class:`TraceClosure`: per-thread time
     order, and exactly one TaskBegin and one TaskEnd per explicit
-    instance program-wide.
-
-    The walk is thread-major, so it cannot follow untied migration
-    across threads and can report a legal cross-thread resume: an untied
-    instance resumed on a thread walked before the one it began on is a
-    ``switch-inactive``, a region it opened on one thread and closes on
-    another an ``exit-unmatched``, and either cascades into follow-on
-    violations.  The online validation substrate sees events in dispatch
-    order and accepts both.
+    instance program-wide.  Raises the first violation
+    :func:`collect_trace_violations` reports.
     """
-    for violation in _trace_violations(trace):
+    for violation in collect_trace_violations(trace):
         raise violation.exception()
-
-
-def collect_trace_violations(trace) -> List[Violation]:
-    """Lenient counterpart of :func:`validate_program_trace`; the same
-    thread-major walk, so it too can report a legal untied resume."""
-    return list(_trace_violations(trace))

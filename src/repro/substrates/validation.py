@@ -3,12 +3,11 @@
 The post-hoc validators (:mod:`repro.events.validate`) need a recorded
 trace; this substrate runs the same task-aware consistency rules
 *streaming*, decoding each :class:`~repro.events.batch.EventBatch` into
-per-thread :class:`~repro.events.validate.TaskStreamChecker`\\ s through
 the :class:`~repro.events.validate.TraceClosure` the whole-trace
-validator uses too (per-thread time order, one TaskBegin and one TaskEnd
-per instance).  The checkers share one instance table, as the task
-profiler does, so an untied instance may open a region on one thread and
-close it after resuming on another.  No trace is retained -- memory
+validator walks too: per-thread checkers over one shared instance table,
+as the task profiler keeps it, so an untied instance may open a region on
+one thread and close it after resuming on another; per-thread time order;
+one TaskBegin and one TaskEnd per instance.  No trace is retained -- memory
 stays O(active instances), which is exactly why real measurement systems
 validate online instead of post-mortem.
 """
@@ -31,7 +30,7 @@ from repro.events.batch import (
 )
 from repro.events.model import implicit_instance_id
 from repro.events.regions import Region, RegionRegistry
-from repro.events.validate import TaskStreamChecker, TraceClosure, Violation
+from repro.events.validate import TraceClosure, Violation
 from repro.substrates.base import Substrate
 
 
@@ -51,8 +50,7 @@ class OnlineValidationSubstrate(Substrate):
         self.violations: List[Violation] = []
         self.violation_counts: Counter = Counter()
         self.events_checked = 0
-        self._closure = TraceClosure()
-        self._checkers: List[TaskStreamChecker] = []
+        self._closure = TraceClosure(0)
         self._current: List[int] = []
 
     def initialize(
@@ -62,14 +60,7 @@ class OnlineValidationSubstrate(Substrate):
         start_time: float,
         implicit_region: Optional[Region] = None,
     ) -> None:
-        # tied=False: tied-ness is not observable per stream once tasks may
-        # migrate, exactly as in the post-hoc whole-trace validator.
-        states = {}
-        self._closure = TraceClosure()
-        self._checkers = [
-            TaskStreamChecker(thread_id=t, tied=False, states=states)
-            for t in range(n_threads)
-        ]
+        self._closure = TraceClosure(n_threads)
         self._current = [implicit_instance_id(t) for t in range(n_threads)]
 
     # ------------------------------------------------------------------
@@ -87,7 +78,7 @@ class OnlineValidationSubstrate(Substrate):
         carry no task structure and are skipped.
         """
         feed = self._closure.feed
-        checkers = self._checkers
+        checkers = self._closure.checkers
         current = self._current
         lookup = batch.registry.lookup
         times = batch.times

@@ -83,11 +83,11 @@ def test_switch_to_never_begun_instance_names_type_and_index(regions):
 def test_tied_instance_resumed_on_another_thread(regions):
     # Thread 0 begins and suspends instance 5 ...
     states = {}
-    thread0 = TaskStreamChecker(0, True, None, states)
+    thread0 = TaskStreamChecker(0, True, states)
     assert thread0.feed(K_TASK_BEGIN, regions["task"], 5, 5) == []
     assert thread0.feed(K_TASK_SWITCH, None, IMPL, IMPL) == []
     # ... and thread 1 illegally resumes it (tied tasks may not migrate).
-    violations = TaskStreamChecker(1, True, None, states).feed(K_TASK_SWITCH, None, 5, 5)
+    violations = TaskStreamChecker(1, True, states).feed(K_TASK_SWITCH, None, 5, 5)
     assert [v.kind for v in violations] == ["tied-migration"]
     violation = violations[0]
     assert violation.index == 0
@@ -123,6 +123,28 @@ def test_time_travel_in_trace_is_flagged(regions):
     assert any(
         v.kind == "time-order" and "event #1" in v.message for v in violations
     )
+
+
+def test_trace_violations_report_per_thread_time_order_first_counts_last():
+    reg = RegionRegistry()
+    task = reg.register("taskA", RegionType.TASK)
+    f = reg.register("f", RegionType.FUNCTION)
+    g = reg.register("g", RegionType.FUNCTION)
+    trace = ProgramTrace(2, reg)
+    thread0, thread1 = trace.streams
+    thread0.append_unchecked(TaskBeginEvent(0, 2.0, 2, task, instance=2))
+    thread0.append_unchecked(ExitEvent(0, 2.5, 2, g))
+    thread1.append_unchecked(TaskBeginEvent(1, 1.0, 1, task, instance=1))
+    thread1.append_unchecked(ExitEvent(1, 0.5, 1, f))
+    # Merged, thread 1's violations arrive first and instance 1 is begun
+    # first; the report is still thread-major with each stream unsorted.
+    assert [str(v) for v in collect_trace_violations(trace)] == [
+        "[exit-unmatched] event #1: exit 'g' with no open region in instance 2",
+        "[time-order] event #1: timestamp 0.5 precedes 1.0 on thread 1",
+        "[exit-unmatched] event #1: exit 'f' with no open region in instance 1",
+        "[end-count] instance 2 begun but ended 0 times",
+        "[end-count] instance 1 begun but ended 0 times",
+    ]
 
 
 def test_violation_exception_carries_declared_type():

@@ -3,9 +3,9 @@
 The online-validation substrate reads :class:`EventBatch` columns; the
 whole-trace validator reads event objects.  Both drive the same
 ``TaskStreamChecker`` and ``TraceClosure``, so on any single-thread
-stream they must report the same violations.  Across threads the online
-substrate also follows legal untied migration, which the thread-major
-offline walk cannot.
+stream they must report the same violations.  Across threads both keep
+one instance table for all threads, so both follow legal untied
+migration: online in dispatch order, offline over the merged trace.
 """
 
 from collections import Counter
@@ -23,11 +23,14 @@ from repro.events.model import (
     implicit_instance_id,
 )
 from repro.events.stream import ProgramTrace
-from repro.events.validate import collect_trace_violations
+from repro.events.validate import collect_trace_violations, validate_program_trace
 from repro.runtime import RuntimeConfig
 from repro.runtime.runtime import run_parallel
 from repro.substrates import OnlineValidationSubstrate
-from tests.integration.test_feature_interactions import kitchen_sink_child
+from tests.integration.test_feature_interactions import (
+    kitchen_sink_child,
+    kitchen_sink_region,
+)
 
 IMPL = implicit_instance_id(0)
 
@@ -135,3 +138,21 @@ def test_untied_migration_validates_clean_online(n_threads):
         artifact = result.substrate_artifacts["validation"]
         assert artifact["clean"] is True, (seed, artifact["first"])
         assert artifact["events_checked"] == result.events_dispatched
+
+
+@pytest.mark.parametrize("n_threads", [1, 2, 3, 4, 8])
+@pytest.mark.parametrize("region", [untied_region, kitchen_sink_region])
+def test_untied_migration_validates_clean_offline_and_online(region, n_threads):
+    for seed in range(20):
+        config = RuntimeConfig(
+            n_threads=n_threads,
+            allow_untied=True,
+            seed=seed,
+            substrates=("profiling", "tracing", "validation"),
+        )
+        result = run_parallel(region, config=config)
+        violations = collect_trace_violations(result.trace)
+        assert violations == [], (seed, [str(v) for v in violations[:5]])
+        validate_program_trace(result.trace)
+        artifact = result.substrate_artifacts["validation"]
+        assert artifact["clean"] is True, (seed, artifact["first"])
