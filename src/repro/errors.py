@@ -158,7 +158,7 @@ class FaultInjectionError(ReproError):
 
 
 class StreamRepairError(ReproError):
-    """repair_stream() received input it cannot even partially recover."""
+    """repair_streams() received input it cannot even partially recover."""
 
     code = "E_STREAM_REPAIR"
 

@@ -133,8 +133,8 @@ def merge_streams(streams: Iterable[Iterable[AnyEvent]]) -> List[AnyEvent]:
     """The events of per-thread ``streams`` in global timestamp order.
 
     Ties are broken by thread id, then position within the stream, which
-    is deterministic because per-stream order is already total.  Both
-    :meth:`ProgramTrace.merged` and trace salvage order events this way.
+    is deterministic because per-stream order is already total.  This is
+    the order of :meth:`ProgramTrace.merged`.
     """
     indexed: List[tuple] = []
     for stream in streams:

@@ -35,7 +35,7 @@ from repro.events.model import (
 )
 from repro.events.regions import RegionType
 from repro.events.repair import repair_streams
-from repro.events.stream import ProgramTrace, merge_streams
+from repro.events.stream import ProgramTrace
 from repro.events.validate import collect_trace_violations
 from repro.faults.plan import FAULT_MODES, FaultPlan, plan_for_mode
 from repro.profiling.profile import Profile
@@ -57,17 +57,16 @@ def salvage_profile_from_trace(
 ) -> Tuple[Profile, SalvageReport]:
     """Repair a (possibly corrupt, possibly truncated) trace and rebuild.
 
-    Per-thread streams are repaired offline, merged into global order and
-    packed into one :class:`~repro.events.batch.EventBatch`, which a
-    lenient profiler consumes exactly as it would a live batch
-    (task-creation brackets become plain enter/exit, as the live path
-    records them).  The profiler then finishes at ``finish_time``, or
-    else at the last event's time.  Returns the partial profile and its
-    salvage report (also reachable as ``profile.salvage``).
+    The per-thread streams are repaired offline in one walk over the
+    merged trace, and the repaired events are packed, in walk order, into
+    one :class:`~repro.events.batch.EventBatch`, which a lenient profiler
+    consumes exactly as it would a live batch (task-creation brackets
+    become plain enter/exit, as the live path records them).  The
+    profiler then finishes at ``finish_time``, or else at the latest
+    event time.  Returns the partial profile and its salvage report (also
+    reachable as ``profile.salvage``).
     """
-    streams = {s.thread_id: list(s) for s in trace.streams}
-    repaired, repair_log = repair_streams(streams)
-    events = merge_streams(repaired[t] for t in sorted(repaired))
+    events, repair_log = repair_streams({s.thread_id: s for s in trace.streams})
     batch = EventBatch(trace.registry)
     for event in events:
         if isinstance(event, EnterEvent):
@@ -91,7 +90,7 @@ def salvage_profile_from_trace(
     profiler.salvage.absorb_repair(repair_log)
     profiler.on_batch(batch)
     if finish_time is None:
-        finish_time = events[-1].time if events else 0.0
+        finish_time = max((event.time for event in events), default=0.0)
     profiler.on_finish(finish_time)
     return profiler.build_profile(), profiler.salvage
 

@@ -22,7 +22,7 @@ class SalvageReport:
     events_seen: int = 0
     #: events the lenient profiler had to discard (inconsistent state)
     events_dropped: int = 0
-    #: events synthesized or rewritten by :func:`repro.events.repair.repair_stream`
+    #: events synthesized or rewritten by :func:`repro.events.repair.repair_streams`
     events_repaired: int = 0
     #: task instances that ended cleanly and were merged into the profile
     instances_completed: int = 0

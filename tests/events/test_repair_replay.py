@@ -4,6 +4,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.analysis.experiment import run_app
 from repro.errors import StreamRepairError
 from repro.events import (
     EnterEvent,
@@ -20,8 +21,9 @@ from repro.events import (
     repair_streams,
 )
 from repro.events.model import implicit_instance_id
-from repro.events.validate import collect_task_stream_violations
+from repro.events.validate import collect_task_stream_violations, collect_trace_violations
 from repro.faults import campaign
+from repro.faults.plan import plan_for_mode
 from repro.profiling.task_profiler import TaskProfiler, ThreadTaskProfiler
 
 IMPL = implicit_instance_id(0)
@@ -125,9 +127,11 @@ def test_exit_for_never_entered_region_is_dropped(regions):
     assert result.log.dropped == 1
 
 
-def test_unknown_event_type_is_unrepairable():
+def test_unknown_event_type_is_unrepairable(regions):
     with pytest.raises(StreamRepairError, match="SimpleNamespace"):
         repair_stream([SimpleNamespace(time=1.0)], thread_id=0)
+    with pytest.raises(StreamRepairError, match="SimpleNamespace"):
+        repair_stream(clean_stream(regions) + [SimpleNamespace(time=9.0)])
 
 
 def test_repair_streams_merges_per_thread_logs(regions):
@@ -138,10 +142,63 @@ def test_repair_streams_merges_per_thread_logs(regions):
         1: [ExitEvent(1, 1.0, impl1, regions["foo"])],   # orphan exit
     }
     repaired, log = repair_streams(streams)
-    assert repaired[0] == [] and repaired[1] == []
+    assert repaired == []
     assert log.dropped == 2
     assert log.quarantined == {9}
     assert log.events_in == 2 and log.events_out == 0
+
+
+def test_untied_resume_is_no_orphan_and_closes_where_it_resumed(regions):
+    """One instance table serves all threads: an instance suspended on
+    thread 0 may resume on thread 1, and if thread 1's stream ends
+    inside it, it is closed there, after every event."""
+    task, foo = regions["task"], regions["foo"]
+    streams = {
+        0: [
+            TaskBeginEvent(0, 1.0, 1, task, instance=1),
+            EnterEvent(0, 1.5, 1, foo),
+            TaskSwitchEvent(0, 2.0, IMPL, instance=IMPL),
+            EnterEvent(0, 5.0, IMPL, foo),
+            ExitEvent(0, 6.0, IMPL, foo),
+        ],
+        1: [
+            TaskSwitchEvent(1, 3.0, 1, instance=1),
+            ExitEvent(1, 4.0, 1, foo),  # truncated: no TaskEnd
+        ],
+    }
+    repaired, log = repair_streams(streams)
+    walk = [*streams[0][:3], *streams[1], *streams[0][3:]]
+    assert repaired == walk + [TaskEndEvent(1, 4.0, 1, task, instance=1)]
+    assert (log.dropped, log.synthesized, log.quarantined) == (0, 1, set())
+    assert log.notes == ["synthesized TaskEnd for instance 1"]
+
+
+STREAM_FAULTS = (
+    "drop_events", "duplicate_events", "reorder_events", "truncate_stream",
+    "clock_skew",
+)
+
+
+@pytest.mark.parametrize("n_threads", [2, 4])
+@pytest.mark.parametrize("mode", STREAM_FAULTS)
+@pytest.mark.parametrize("app", ["fib", "nqueens", "sort"])
+def test_repaired_trace_is_consistent_and_a_fixed_point(app, mode, n_threads):
+    """Split back per thread, a repaired faulted trace passes the
+    whole-trace validator, and repairing it again changes nothing."""
+    for seed in range(3):
+        result = run_app(
+            app, size="test", n_threads=n_threads, seed=seed,
+            record_events=True, fault_plan=plan_for_mode(mode, seed=seed),
+        )
+        trace = result.parallel.trace
+        events, _ = repair_streams({s.thread_id: s for s in trace.streams})
+        repaired = ProgramTrace(trace.n_threads, trace.registry)
+        for event in events:
+            repaired.record(event)  # per-thread time order is checked here
+        violations = collect_trace_violations(repaired)
+        assert violations == [], (seed, [str(v) for v in violations[:5]])
+        _, again = repair_streams({s.thread_id: s for s in repaired.streams})
+        assert not again.touched, (seed, again.summary())
 
 
 def _record_salvage_calls(monkeypatch):
@@ -215,6 +272,37 @@ def test_replay_dispatches_in_order_and_finishes(monkeypatch):
     calls.clear()
     campaign.salvage_profile_from_trace(trace, implicit, finish_time=10.0)
     assert calls[-1] == ("finish", 10.0)
+
+
+def test_salvage_finishes_at_latest_event_after_trailing_closures(monkeypatch):
+    """A thread truncated inside a task is closed after every event, on
+    its own thread at its own last time; salvage still finishes at the
+    latest event time of the trace, not at the last closure's."""
+    impl1 = implicit_instance_id(1)
+    reg = RegionRegistry()
+    implicit = reg.register("parallel", RegionType.IMPLICIT_TASK)
+    foo = reg.register("foo", RegionType.FUNCTION)
+    task = reg.register("taskA", RegionType.TASK)
+    trace = ProgramTrace(2, reg)
+    for event in (
+        TaskBeginEvent(0, 1.0, 1, task, instance=1),
+        EnterEvent(0, 2.0, 1, foo),  # truncated: no exit, no TaskEnd
+        EnterEvent(1, 0.0, impl1, foo),
+        ExitEvent(1, 9.0, impl1, foo),
+    ):
+        trace.record(event)
+    calls = _record_salvage_calls(monkeypatch)
+    _, report = campaign.salvage_profile_from_trace(trace, implicit)
+    assert calls == [
+        ("enter", 1, "foo", 0.0, None),
+        ("task_begin", 0, "taskA", 1, 1.0, None),
+        ("enter", 0, "foo", 2.0, None),
+        ("exit", 1, "foo", 9.0),
+        ("exit", 0, "foo", 2.0),
+        ("task_end", 0, "taskA", 1, 2.0),
+        ("finish", 9.0),
+    ]
+    assert report.events_repaired == 2
 
 
 def test_replay_trace_merges_thread_streams(monkeypatch):

@@ -167,7 +167,7 @@ def test_program_trace_merged_is_time_ordered(regions):
     assert [e.time for e in merged] == [0.0, 0.5, 1.5, 2.0]
     assert trace.total_events() == 4
     # Ties break by thread id, then stream position -- whatever order the
-    # streams come in.  Salvage merges repaired streams the same way.
+    # streams come in.
     impl1 = implicit_instance_id(1)
     a = EnterEvent(0, 1.0, IMPL, regions["main"])
     b = ExitEvent(0, 1.0, IMPL, regions["main"])

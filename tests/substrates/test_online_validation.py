@@ -12,6 +12,7 @@ from collections import Counter
 
 import pytest
 
+from repro.cube.export import profile_to_dict
 from repro.events import RegionRegistry, RegionType
 from repro.events.batch import EventBatch
 from repro.events.model import (
@@ -24,6 +25,7 @@ from repro.events.model import (
 )
 from repro.events.stream import ProgramTrace
 from repro.events.validate import collect_trace_violations, validate_program_trace
+from repro.faults.campaign import salvage_profile_from_trace
 from repro.runtime import RuntimeConfig
 from repro.runtime.runtime import run_parallel
 from repro.substrates import OnlineValidationSubstrate
@@ -140,13 +142,39 @@ def test_untied_migration_validates_clean_online(n_threads):
         assert artifact["events_checked"] == result.events_dispatched
 
 
+def _tree_dict(profile):
+    """``profile_to_dict`` without what only a live run measures: node
+    counters, memory statistics and the salvage report."""
+    data = profile_to_dict(profile)
+    for key in ("memory_stats", "salvage"):
+        data.pop(key, None)
+
+    def strip(node):
+        node.pop("counters", None)
+        for child in node["children"]:
+            strip(child)
+
+    for tree in data["main_trees"]:
+        strip(tree)
+    for trees in data["task_trees"]:
+        for tree in trees:
+            strip(tree)
+    return data
+
+
+@pytest.mark.parametrize("allow_untied", [True, False], ids=["untied", "tied"])
 @pytest.mark.parametrize("n_threads", [1, 2, 3, 4, 8])
 @pytest.mark.parametrize("region", [untied_region, kitchen_sink_region])
-def test_untied_migration_validates_clean_offline_and_online(region, n_threads):
+def test_untied_migration_validates_clean_offline_and_online(
+    region, n_threads, allow_untied
+):
+    """Both validators accept a clean trace, and salvaging it rebuilds
+    the live profile exactly, with nothing repaired: trace repair keeps
+    one instance table for all threads, so legal migration is no orphan."""
     for seed in range(20):
         config = RuntimeConfig(
             n_threads=n_threads,
-            allow_untied=True,
+            allow_untied=allow_untied,
             seed=seed,
             substrates=("profiling", "tracing", "validation"),
         )
@@ -156,3 +184,9 @@ def test_untied_migration_validates_clean_offline_and_online(region, n_threads):
         validate_program_trace(result.trace)
         artifact = result.substrate_artifacts["validation"]
         assert artifact["clean"] is True, (seed, artifact["first"])
+        implicit = result.trace.registry.register("parallel", RegionType.IMPLICIT_TASK)
+        salvaged, report = salvage_profile_from_trace(
+            result.trace, implicit, finish_time=result.duration
+        )
+        assert not report.partial, (seed, report.summary(), report.notes[:5])
+        assert _tree_dict(salvaged) == _tree_dict(result.profile), seed
