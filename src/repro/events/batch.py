@@ -26,9 +26,9 @@ An event is **one append to each of two flat columns**:
 ``times``  (``array('d')``)
     the virtual timestamp per event, bit-exact.
 
-Native consumers read the columns directly (the stats substrate counts
-the codes in one C-level pass); per-event consumers receive the batch
-through :func:`replay`.
+Every consumer reads the columns directly: the stats substrate counts
+the codes in one C-level pass; the profiler, tracing, validation and the
+recorder decode each code in one loop.
 
 Rare payloads (enter parameters, metric counter dicts) live out-of-band
 in ``payloads``, a ``{event index -> object}`` dict, keeping the hot
@@ -178,58 +178,3 @@ class EventBatch:
         # metrics are not counted: they add no per-event cost and the
         # manager never tallies them in events_delivered.
 
-
-def replay(batch: EventBatch, listener) -> None:
-    """Replay ``batch`` as per-event ``listener.on_*`` calls, in order.
-
-    The one adapter between the columnar path and per-event consumers;
-    its one caller is the base
-    :meth:`~repro.substrates.base.Substrate.on_batch` shim.  The
-    callbacks are looked up on ``listener`` once per batch, so callbacks
-    shadowed onto an instance at ``initialize`` see every event.
-    Exceptions propagate from the failing event; state updated by
-    earlier events of the batch is kept.
-    """
-    on_enter = listener.on_enter
-    on_exit = listener.on_exit
-    on_task_begin = listener.on_task_begin
-    on_task_end = listener.on_task_end
-    on_task_switch = listener.on_task_switch
-    on_metric = listener.on_metric
-    lookup = batch.registry.lookup
-    payloads = batch.payloads
-    times = batch.times
-    for i, code in enumerate(batch.codes):
-        kind = code & KIND_MASK
-        tid = (code >> TID_SHIFT) & TID_MASK
-        if kind == K_ENTER:
-            on_enter(
-                tid,
-                lookup((code >> RID_SHIFT) & RID_MASK),
-                times[i],
-                payloads[i] if code & F_PAYLOAD else None,
-            )
-        elif kind == K_EXIT:
-            on_exit(tid, lookup((code >> RID_SHIFT) & RID_MASK), times[i])
-        elif kind == K_TASK_BEGIN:
-            zz = code >> INST_SHIFT
-            on_task_begin(
-                tid,
-                lookup((code >> RID_SHIFT) & RID_MASK),
-                (zz >> 1) if not zz & 1 else -((zz + 1) >> 1),
-                times[i],
-                payloads[i] if code & F_PAYLOAD else None,
-            )
-        elif kind == K_TASK_END:
-            zz = code >> INST_SHIFT
-            on_task_end(
-                tid,
-                lookup((code >> RID_SHIFT) & RID_MASK),
-                (zz >> 1) if not zz & 1 else -((zz + 1) >> 1),
-                times[i],
-            )
-        elif kind == K_TASK_SWITCH:
-            zz = code >> INST_SHIFT
-            on_task_switch(tid, (zz >> 1) if not zz & 1 else -((zz + 1) >> 1), times[i])
-        else:
-            on_metric(tid, payloads[i], times[i])

@@ -12,22 +12,19 @@ construct boundary.  The layer
 * charges the per-event instrumentation cost to the executing simulated
   thread (this is what the overhead evaluation of Section V measures),
 * packs the event into a columnar :class:`~repro.events.batch.EventBatch`
-  that drains to the substrate manager at scheduling points; substrates
-  that consume per event receive POMP2-style listener callbacks
-  (:class:`~repro.instrument.pomp2.Pomp2Listener`) replayed from it.
+  that drains to the substrate manager at scheduling points; every
+  substrate reads that batch directly.
 
 :mod:`repro.instrument.ast_instrumenter` is the compiler-instrumentation
 analogue: an AST source-to-source pass inserting enter/exit hooks into
 plain Python functions.
 """
 
-from repro.instrument.pomp2 import Pomp2Listener
 from repro.instrument.filtering import MANAGEMENT_REGIONS_FILTER, RegionFilter
 from repro.instrument.layer import InstrumentationLayer
 from repro.instrument.ast_instrumenter import instrument_source, instrument_function
 
 __all__ = [
-    "Pomp2Listener",
     "InstrumentationLayer",
     "RegionFilter",
     "MANAGEMENT_REGIONS_FILTER",

@@ -1,6 +1,6 @@
 """Compact binary codec for the recorded measurement-event stream.
 
-The recorder spills every POMP2 callback the substrate manager dispatches
+The recorder spills every event the substrate manager dispatches
 -- enters, exits, task lifecycle, metrics, phase brackets -- as small
 binary records: unsigned LEB128 varints for ids and counts, zigzag
 varints for (possibly negative) task-instance ids, and raw little-endian

@@ -286,16 +286,10 @@ class OpenMPRuntime:
         substrates = self._resolve_substrates()
         if not substrates:
             return None
-        from repro.substrates.governor import GovernorSubstrate
         from repro.substrates.manager import SubstrateManager
         from repro.substrates.profiling import ProfilingSubstrate
         from repro.substrates.tracing import TracingSubstrate
 
-        if self.governor is not None and not any(
-            isinstance(s, GovernorSubstrate) for s in substrates
-        ):
-            # An armed governor always reports through its substrate.
-            substrates.append(GovernorSubstrate())
         injector = self.fault_injector
         stream_faults = (
             injector
@@ -308,9 +302,6 @@ class OpenMPRuntime:
             if isinstance(substrate, ProfilingSubstrate):
                 if substrate.max_call_path_depth is None:
                     substrate.max_call_path_depth = self.config.max_call_path_depth
-                if substrate.governor is None:
-                    substrate.governor = self.governor
-            elif isinstance(substrate, GovernorSubstrate):
                 if substrate.governor is None:
                     substrate.governor = self.governor
             elif isinstance(substrate, TracingSubstrate):

@@ -6,10 +6,12 @@ profiling substrate, the tracing substrate, plugin substrates.  This
 subpackage reproduces that architecture for the simulated runtime:
 
 * :class:`~repro.substrates.base.Substrate` -- the lifecycle contract
-  (``initialize`` / POMP2 event callbacks / ``finalize`` / ``artifact``),
-  plus per-substrate ``per_event_cost`` (attributable overhead, paper
-  Section V) and an ``essential`` flag (non-essential substrates are
-  quarantined on error instead of killing the run).
+  (``initialize`` / ``on_batch`` / ``finalize`` / ``artifact``; a
+  columnar :class:`~repro.events.batch.EventBatch` through ``on_batch``
+  is the only way events arrive), plus per-substrate ``per_event_cost``
+  (attributable overhead, paper Section V) and an ``essential`` flag
+  (non-essential substrates are quarantined on error instead of killing
+  the run).
 * :class:`~repro.substrates.manager.SubstrateManager` -- the single
   listener the instrumentation layer dispatches to; fans out to every
   attached substrate and does the quarantine/overhead bookkeeping.
@@ -20,12 +22,11 @@ subpackage reproduces that architecture for the simulated runtime:
 Built-ins: ``profiling`` (the paper's Fig. 12 profiler), ``tracing``
 (full event recording), ``validation`` (the task-aware stream checks
 running online, during execution), ``stats`` (per-kind/per-thread event
-counts feeding the overhead analysis), ``governor`` (resource-governor
-ladder report; see :mod:`repro.governor`).
+counts feeding the overhead analysis), ``recorder`` (durable spill of
+the event stream; see :mod:`repro.recorder`).
 """
 
 from repro.substrates.base import Substrate
-from repro.substrates.governor import GovernorSubstrate
 from repro.substrates.manager import SubstrateIncident, SubstrateManager
 from repro.substrates.profiling import ProfilingSubstrate
 from repro.substrates.recorder import RecorderSubstrate
@@ -44,7 +45,6 @@ register_substrate("profiling", ProfilingSubstrate, replace=True)
 register_substrate("tracing", TracingSubstrate, replace=True)
 register_substrate("validation", OnlineValidationSubstrate, replace=True)
 register_substrate("stats", StatsSubstrate, replace=True)
-register_substrate("governor", GovernorSubstrate, replace=True)
 register_substrate("recorder", RecorderSubstrate, replace=True)
 
 __all__ = [
@@ -53,7 +53,6 @@ __all__ = [
     "SubstrateIncident",
     "ProfilingSubstrate",
     "TracingSubstrate",
-    "GovernorSubstrate",
     "RecorderSubstrate",
     "OnlineValidationSubstrate",
     "StatsSubstrate",

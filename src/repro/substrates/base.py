@@ -11,20 +11,18 @@ lifecycle --
    region handle.
 2. event consumption -- the manager hands every flushed
    :class:`~repro.events.batch.EventBatch` to :meth:`on_batch`, events
-   in virtual-time order per thread.  A substrate consumes it in exactly
-   one way: either it implements the POMP2 per-event callbacks
-   (``on_enter`` ... ``on_metric``) and the base :meth:`on_batch` replays
-   the batch through them, or it overrides :meth:`on_batch` with a
-   native columnar consume.  Phase markers arrive as
-   :meth:`on_phase_begin` / :meth:`on_phase_end`; after every substrate
-   has consumed a batch, each gets :meth:`after_batch`.
+   in virtual-time order per thread; that is the only way a substrate
+   receives events, and it reads the packed columns directly.  Phase
+   markers arrive as :meth:`on_phase_begin` / :meth:`on_phase_end`;
+   after every substrate has consumed a batch, each gets
+   :meth:`after_batch`.
 3. :meth:`finalize` -- called once with the region's virtual end time;
    afterwards :meth:`artifact` must return whatever the substrate
    produced (a :class:`~repro.profiling.profile.Profile`, a
    :class:`~repro.events.stream.ProgramTrace`, a statistics dict, ...).
 
-All event callbacks default to no-ops so a substrate only implements the
-events it cares about.  Substrates are attached to a run through
+Every hook defaults to a no-op, so a substrate overrides only what it
+uses.  Substrates are attached to a run through
 ``RuntimeConfig(substrates=[...])`` (names resolved via the registry in
 :mod:`repro.substrates.registry`, or instances passed directly) and are
 driven by the :class:`~repro.substrates.manager.SubstrateManager`.
@@ -34,13 +32,12 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
-from repro.events.batch import EventBatch, replay
-from repro.events.model import InstanceId
+from repro.events.batch import EventBatch
 from repro.events.regions import Region, RegionRegistry
 
 
 class Substrate:
-    """Base class for measurement substrates (all callbacks default no-op).
+    """Base class for measurement substrates (every hook defaults to a no-op).
 
     Class attributes subclasses are expected to override:
 
@@ -83,60 +80,23 @@ class Substrate:
         """The substrate's product after :meth:`finalize` (or ``None``)."""
         return None
 
-    # -- POMP2 event callbacks (no-ops by default) ----------------------
-    def on_enter(
-        self,
-        thread_id: int,
-        region: Region,
-        time: float,
-        parameter: Optional[tuple] = None,
-    ) -> None:
-        pass
+    # -- event consumption ----------------------------------------------
+    def on_batch(self, batch: EventBatch) -> None:
+        """Consume one columnar :class:`~repro.events.batch.EventBatch`.
 
-    def on_exit(self, thread_id: int, region: Region, time: float) -> None:
-        pass
-
-    def on_task_begin(
-        self,
-        thread_id: int,
-        region: Region,
-        instance: InstanceId,
-        time: float,
-        parameter: Optional[tuple] = None,
-    ) -> None:
-        pass
-
-    def on_task_end(
-        self, thread_id: int, region: Region, instance: InstanceId, time: float
-    ) -> None:
-        pass
-
-    def on_task_switch(self, thread_id: int, instance: InstanceId, time: float) -> None:
-        pass
-
-    def on_metric(self, thread_id: int, counters: dict, time: float) -> None:
-        pass
+        The one way a substrate receives events: read the packed codes
+        directly (:class:`~repro.substrates.stats.StatsSubstrate` counts
+        them, :class:`~repro.substrates.validation.OnlineValidationSubstrate`
+        decodes each one).  The base method is a no-op, and the manager
+        skips a substrate that does not override it.  Exceptions escape
+        to the manager, which quarantines or aborts per ``essential``.
+        """
 
     def on_phase_begin(self, name: str) -> None:
         pass
 
     def on_phase_end(self, name: str) -> None:
         pass
-
-    # -- batched dispatch ----------------------------------------------
-    def on_batch(self, batch: EventBatch) -> None:
-        """Consume one columnar :class:`~repro.events.batch.EventBatch`.
-
-        The default is the **replay shim**: it replays the batch through
-        the per-event callbacks via :func:`~repro.events.batch.replay`,
-        in order, looking them up on ``self`` (so callbacks shadowed onto
-        the instance at initialize time are honored).  Exceptions escape
-        to the manager, which quarantines or aborts per ``essential``.
-
-        A substrate implements the per-event callbacks *or* overrides
-        this method with a native columnar consume -- never both.
-        """
-        replay(batch, self)
 
     def after_batch(self, batch: EventBatch) -> None:
         """Called once every substrate has consumed ``batch``.

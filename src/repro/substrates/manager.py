@@ -51,22 +51,9 @@ class SubstrateIncident:
         )
 
 
-#: Per-event callbacks; a substrate overriding any of them consumes
-#: batches through the base-class replay shim.
-_EVENT_CALLBACKS = (
-    "on_enter",
-    "on_exit",
-    "on_task_begin",
-    "on_task_end",
-    "on_task_switch",
-    "on_metric",
-)
-
-
-def _overrides(substrate: Substrate, callback: str) -> bool:
-    """Whether ``substrate``'s bound ``callback`` is not the base no-op."""
-    base = getattr(Substrate, callback)
-    return getattr(getattr(substrate, callback), "__func__", None) is not base
+def _overrides(substrate: Substrate, hook: str) -> bool:
+    """Whether ``substrate``'s class replaces the base no-op ``hook``."""
+    return getattr(type(substrate), hook) is not getattr(Substrate, hook)
 
 
 class SubstrateManager:
@@ -94,22 +81,11 @@ class SubstrateManager:
     def _rebuild_dispatch(self) -> None:
         """Target lists for each dispatch, skipping inherited no-ops.
 
-        A substrate belongs in the batch fan-out if it consumes batches
-        natively (overridden ``on_batch``) or overrides any per-event
-        callback (the base ``on_batch`` shim then replays the batch
-        through them); one with neither -- the governor -- is skipped.
-        The check compares *bound* methods against the base class, so
-        callbacks shadowed onto the instance at ``initialize`` count,
-        which is why the tables are rebuilt after initialization and
-        after every quarantine.
+        Substrates never rebind their hooks, so the tables are built from
+        the classes at construction and rebuilt only after a quarantine.
         """
         active = self._active
-        self._targets_on_batch = [
-            s
-            for s in active
-            if _overrides(s, "on_batch")
-            or any(_overrides(s, cb) for cb in _EVENT_CALLBACKS)
-        ]
+        self._targets_on_batch = [s for s in active if _overrides(s, "on_batch")]
         self._targets_after_batch = [s for s in active if _overrides(s, "after_batch")]
         self._targets_on_phase_begin = [
             s for s in active if _overrides(s, "on_phase_begin")
@@ -118,7 +94,7 @@ class SubstrateManager:
             s for s in active if _overrides(s, "on_phase_end")
         ]
         # The per-event charge is cached here and re-derived on any
-        # dispatch rebuild (attachment-time init, quarantine).  The sum
+        # dispatch rebuild (construction, quarantine).  The sum
         # spans *all attached* substrates -- per the documented contract a
         # quarantine invalidates the cache but never lowers the charge.
         self._extra_cost_per_event = float(
@@ -138,22 +114,12 @@ class SubstrateManager:
         """
         return self._extra_cost_per_event
 
-    def get(self, name: str) -> Optional[Substrate]:
-        """The attached substrate with this name, or ``None``."""
-        for substrate in self.substrates:
-            if substrate.name == name:
-                return substrate
-        return None
-
     def find(self, cls: Type[Substrate]) -> Optional[Substrate]:
         """The first attached substrate of this class, or ``None``."""
         for substrate in self.substrates:
             if isinstance(substrate, cls):
                 return substrate
         return None
-
-    def quarantined(self, name: str) -> bool:
-        return any(i.substrate == name for i in self.incidents)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -170,9 +136,6 @@ class SubstrateManager:
         problem, not a mid-run measurement glitch to degrade around."""
         for substrate in self._active:
             substrate.initialize(registry, n_threads, start_time, implicit_region)
-        # Initialization may have bound backend methods onto instances
-        # (profiler/tracer shadowing): refresh the dispatch tables.
-        self._rebuild_dispatch()
 
     def artifacts(self) -> Dict[str, Any]:
         """``{name: artifact}`` for every attached substrate.
@@ -252,7 +215,7 @@ class SubstrateManager:
         """Fan one columnar batch out to every consuming substrate.
 
         One dispatch call per *flush*, with each substrate consuming the
-        whole batch (natively or through the base-class replay shim).
+        whole batch through its own ``on_batch``.
         Every substrate observes every event in stream order; the
         interleaving *between* substrates is per batch.  Once all have
         consumed the batch, ``after_batch`` runs: there, whatever the

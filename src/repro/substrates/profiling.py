@@ -1,10 +1,8 @@
 """The profiling substrate: the paper's Fig. 12 profiler as a substrate.
 
-Wraps :class:`~repro.profiling.task_profiler.TaskProfiler`.  At
-:meth:`initialize` the freshly-built profiler's ``on_batch`` and phase
-methods are shadowed onto the substrate instance, so the manager's
-fan-out lands directly on the profiler's columnar consume -- no extra
-frame per batch.
+Wraps :class:`~repro.profiling.task_profiler.TaskProfiler`, built at
+:meth:`initialize`; each batch and phase marker is passed straight to
+the profiler's own columnar consume.
 """
 
 from __future__ import annotations
@@ -12,6 +10,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.errors import SubstrateError
+from repro.events.batch import EventBatch
 from repro.events.regions import Region, RegionRegistry
 from repro.profiling.profile import Profile
 from repro.profiling.task_profiler import TaskProfiler
@@ -63,10 +62,15 @@ class ProfilingSubstrate(Substrate):
             governor=self.governor,
         )
         self.profiler = profiler
-        # Short-circuit dispatch: the profiler consumes whole batches.
-        self.on_batch = profiler.on_batch
-        self.on_phase_begin = profiler.on_phase_begin
-        self.on_phase_end = profiler.on_phase_end
+
+    def on_batch(self, batch: EventBatch) -> None:
+        self.profiler.on_batch(batch)
+
+    def on_phase_begin(self, name: str) -> None:
+        self.profiler.on_phase_begin(name)
+
+    def on_phase_end(self, name: str) -> None:
+        self.profiler.on_phase_end(name)
 
     def finalize(self, time: float) -> None:
         if self.profiler is not None:

@@ -3,9 +3,9 @@
 Third-party substrates plug into a run without touching the runtime:
 register a factory under a name, then put the name into
 ``RuntimeConfig(substrates=[...])`` or pass it to
-``repro run --substrate NAME``.  The four built-ins (``profiling``,
-``tracing``, ``validation``, ``stats``) are registered when
-:mod:`repro.substrates` is imported.
+``repro run --substrate NAME``.  The built-ins (``profiling``,
+``tracing``, ``validation``, ``stats``, ``recorder``) are registered
+when :mod:`repro.substrates` is imported.
 """
 
 from __future__ import annotations

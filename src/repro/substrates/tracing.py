@@ -1,9 +1,9 @@
 """The tracing substrate: full event recording as a substrate.
 
-Records every event into a :class:`~repro.events.stream.ProgramTrace`
-through the per-event callbacks (batches arrive through the base-class
-replay shim).  It tracks the task instance each thread is executing so
-enter/exit events carry it, exactly as the POMP2 task-aware events do.
+Decodes every :class:`~repro.events.batch.EventBatch` into event
+objects stored in a :class:`~repro.events.stream.ProgramTrace`.  It
+tracks the task instance each thread is executing so enter/exit events
+carry it, exactly as the POMP2 task-aware events do.
 
 It is also the one place stream faults are applied: with a
 :class:`~repro.faults.injector.FaultInjector` set as :attr:`injector`,
@@ -16,6 +16,21 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, Optional
 
+from repro.events.batch import (
+    F_PAYLOAD,
+    INST_SHIFT,
+    K_ENTER,
+    K_EXIT,
+    K_METRIC,
+    K_TASK_BEGIN,
+    K_TASK_SWITCH,
+    KIND_MASK,
+    RID_MASK,
+    RID_SHIFT,
+    TID_MASK,
+    TID_SHIFT,
+    EventBatch,
+)
 from repro.events.model import (
     AnyEvent,
     EnterEvent,
@@ -41,8 +56,7 @@ class TracingSubstrate(Substrate):
     (checked appends) when no injector is set, so the unfaulted path
     pays nothing for fault support, or else to a closure storing the
     injector's output unchecked -- perturbed timestamps may violate
-    per-stream monotonicity.  Metrics live in the profile, not the event
-    trace, so ``on_metric`` stays the base no-op.
+    per-stream monotonicity.
     """
 
     name = "tracing"
@@ -88,28 +102,45 @@ class TracingSubstrate(Substrate):
             for event in self.injector.drain():
                 streams[event.thread_id].append_unchecked(event)
 
-    # -- POMP2 callbacks ------------------------------------------------
-    def on_enter(self, thread_id, region, time, parameter=None) -> None:
-        self.record(
-            EnterEvent(thread_id, time, self._current[thread_id], region, parameter)
-        )
+    def on_batch(self, batch: EventBatch) -> None:
+        """Decode each code into its event object and record it.
 
-    def on_exit(self, thread_id, region, time) -> None:
-        self.record(ExitEvent(thread_id, time, self._current[thread_id], region))
-
-    def on_task_begin(self, thread_id, region, instance, time, parameter=None) -> None:
-        self._current[thread_id] = instance
-        self.record(
-            TaskBeginEvent(thread_id, time, instance, region, instance, parameter)
-        )
-
-    def on_task_end(self, thread_id, region, instance, time) -> None:
-        self.record(TaskEndEvent(thread_id, time, instance, region, instance))
-        self._current[thread_id] = implicit_instance_id(thread_id)
-
-    def on_task_switch(self, thread_id, instance, time) -> None:
-        self._current[thread_id] = instance
-        self.record(TaskSwitchEvent(thread_id, time, instance, instance))
+        An enter/exit is attributed to the instance its thread last began
+        or switched to.  Metrics live in the profile, not the event trace,
+        so metric rows are skipped.
+        """
+        record = self.record
+        current = self._current
+        lookup = batch.registry.lookup
+        payloads = batch.payloads
+        times = batch.times
+        for i, code in enumerate(batch.codes):
+            kind = code & KIND_MASK
+            if kind == K_METRIC:
+                continue
+            tid = (code >> TID_SHIFT) & TID_MASK
+            time = times[i]
+            parameter = payloads[i] if code & F_PAYLOAD else None
+            if kind <= K_EXIT:
+                region = lookup((code >> RID_SHIFT) & RID_MASK)
+                if kind == K_ENTER:
+                    record(EnterEvent(tid, time, current[tid], region, parameter))
+                else:
+                    record(ExitEvent(tid, time, current[tid], region))
+                continue
+            zz = code >> INST_SHIFT
+            instance = (zz >> 1) if not zz & 1 else -((zz + 1) >> 1)
+            if kind == K_TASK_SWITCH:
+                current[tid] = instance
+                record(TaskSwitchEvent(tid, time, instance, instance))
+                continue
+            region = lookup((code >> RID_SHIFT) & RID_MASK)
+            if kind == K_TASK_BEGIN:
+                current[tid] = instance
+                record(TaskBeginEvent(tid, time, instance, region, instance, parameter))
+            else:
+                record(TaskEndEvent(tid, time, instance, region, instance))
+                current[tid] = implicit_instance_id(tid)
 
     def artifact(self) -> Optional[ProgramTrace]:
         return self.trace

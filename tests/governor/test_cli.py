@@ -2,6 +2,7 @@
 `repro governor`."""
 
 import json
+from itertools import takewhile
 
 from repro.cli import main
 
@@ -37,6 +38,29 @@ def test_run_tolerant_with_budget_and_json(tmp_path, capsys):
 def test_run_without_budget_prints_no_governor_lines(capsys):
     assert main(["run", "fib", "--size", "test", "--threads", "2"]) == 0
     assert "governor" not in capsys.readouterr().out
+
+
+def test_budgeted_run_reports_only_the_consuming_substrates(capsys):
+    code = main(
+        ["run", "fib", "--size", "test", "--threads", "2",
+         "--memory-budget", "4", "--substrate", "profiling", "--substrate", "stats"]
+    )
+    out = capsys.readouterr().out
+    assert code == 0
+    after = out.split("  substrates:\n", 1)[1].splitlines()
+    rows = takewhile(lambda line: line.startswith("    "), after)
+    assert [row.split()[0] for row in rows] == ["profiling", "stats"]
+    # the governor still reports, through its own line
+    assert "governor: degradation level L3" in out
+
+
+def test_governor_is_not_a_substrate_name(capsys):
+    assert main(
+        ["run", "fib", "--size", "test", "--threads", "2", "--substrate", "governor"]
+    ) == 2
+    err = capsys.readouterr().err
+    assert "unknown substrate 'governor'" in err
+    assert "available: profiling, recorder, stats, tracing, validation" in err
 
 
 def test_governor_subcommand_writes_json_report(tmp_path, capsys):

@@ -91,10 +91,11 @@ def test_degradation_recorded_in_salvage(governed):
     assert "degradation level L3" in salvage.summary()
 
 
-def test_governor_substrate_artifact_present(governed):
-    artifact = governed.parallel.substrate_artifacts["governor"]
-    assert artifact["enabled"] is True
-    assert artifact["level"] == 3
+def test_governor_report_rides_in_extra(governed):
+    # The report travels in ``extra`` only: no substrate carries it.
+    assert governed.parallel.extra["governor"]["level"] == 3
+    assert "governor" not in governed.parallel.substrate_artifacts
+    assert "governor" not in governed.parallel.extra["substrates"]
 
 
 def test_l0_profile_byte_identical_to_ungoverned(unbounded):

@@ -3,7 +3,7 @@
 Pins the producer half of the columnar event path:
 
 * ``events_dispatched`` counts individual events, and the drained
-  stream replays exactly the event sequence that was measured --
+  stream decodes to exactly the event sequence that was measured --
   batching changes when events are consumed, never how many;
 * :class:`RegionFilter`: name and type filters suppress the same events,
   and filtered events never reach the batch;
@@ -15,15 +15,15 @@ Pins the producer half of the columnar event path:
 
 import pytest
 
-from repro.events.batch import replay
 from repro.events.regions import RegionRegistry, RegionType
 from repro.instrument.filtering import RegionFilter
 from repro.instrument.layer import InstrumentationLayer
+from tests.batch_calls import batch_calls
 
 
 class CollectingListener:
     """Records every ``on_<kind>(*args)`` call as ``(kind, *args)``;
-    batches are replayed into the same per-event calls."""
+    each batch is decoded into the same tuples, one per event."""
 
     def __init__(self):
         self.calls = []
@@ -36,7 +36,7 @@ class CollectingListener:
 
     def on_batch(self, batch):
         self.flushes += 1
-        replay(batch, self)
+        self.calls.extend(batch_calls(batch))
 
 
 @pytest.fixture

@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 
 from repro.events import RegionRegistry, RegionType
+from repro.events.batch import EventBatch
 from repro.instrument import InstrumentationLayer
 from repro.substrates.tracing import TracingSubstrate
 from tests.instrument.test_batched_layer import CollectingListener
@@ -67,13 +68,17 @@ def test_recording_listener_tracks_current_instance(registry, region):
     task = registry.register("t", RegionType.TASK)
     tracing = TracingSubstrate()
     tracing.initialize(registry, 1, 0.0)
-    tracing.on_task_begin(0, task, 1, 1.0)
-    tracing.on_enter(0, region, 2.0)
-    tracing.on_exit(0, region, 3.0)
-    tracing.on_task_end(0, task, 1, 4.0)
+    batch = EventBatch(registry)
+    batch.add_task_begin(0, task, 1, 1.0)
+    batch.add_enter(0, region, 2.0)
+    batch.add_exit(0, region, 3.0)
+    batch.add_task_end(0, task, 1, 4.0)
+    tracing.on_batch(batch)
     trace = tracing.artifact()
     events = list(trace.stream(0))
     assert events[1].executing_instance == 1  # enter inside the task
     # after task_end the implicit task is current again
-    tracing.on_enter(0, region, 5.0)
+    batch.clear()
+    batch.add_enter(0, region, 5.0)
+    tracing.on_batch(batch)
     assert trace.stream(0)[-1].executing_instance == -1

@@ -16,6 +16,7 @@ from repro.events import RegionRegistry, RegionType
 from repro.instrument import InstrumentationLayer
 from repro.instrument.filtering import RegionFilter
 from repro.substrates import Substrate, SubstrateManager
+from tests.batch_calls import batch_calls
 
 
 class JournalingSubstrate(Substrate):
@@ -25,17 +26,14 @@ class JournalingSubstrate(Substrate):
         self.name = name
         self.journal = journal
 
-    def on_enter(self, thread_id, region, time, parameter=None):
-        self.journal.append((self.name, "enter", region.name))
-
-    def on_exit(self, thread_id, region, time):
-        self.journal.append((self.name, "exit", region.name))
-
-    def on_task_begin(self, thread_id, region, instance, time, parameter=None):
-        self.journal.append((self.name, "task_begin", instance))
-
-    def on_metric(self, thread_id, counters, time):
-        self.journal.append((self.name, "metric", tuple(counters)))
+    def on_batch(self, batch):
+        for kind, _thread, *args in batch_calls(batch):
+            if kind in ("enter", "exit"):
+                self.journal.append((self.name, kind, args[0].name))
+            elif kind == "task_begin":
+                self.journal.append((self.name, kind, args[1]))
+            elif kind == "metric":
+                self.journal.append((self.name, kind, tuple(args[0])))
 
 
 @pytest.fixture()

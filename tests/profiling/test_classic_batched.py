@@ -1,12 +1,12 @@
 """The classic profiler fed through event batches: exact round trip.
 
-Every event reaches a consumer through an :class:`EventBatch` and
-:func:`~repro.events.batch.replay`.  The classic call-path profiler is a
-sensitive oracle for that round trip: its trees must be *bit*-identical
-to direct per-event calls on every stream shape -- deep nesting, flat
-leaf storms, parameterized enters, and batches split and reused at
-arbitrary boundaries.  Errors raised by the consumer propagate from the
-failing event.
+Every event reaches a consumer through an :class:`EventBatch`; the
+tracing substrate decodes batches back into event objects.  The classic
+call-path profiler, fed that trace, is a sensitive oracle for the round
+trip: its trees must be *bit*-identical to direct per-event calls on
+every stream shape -- deep nesting, flat leaf storms, parameterized
+enters, and batches split and reused at arbitrary boundaries.  Errors
+raised by the consumer propagate from the failing event.
 """
 
 import random
@@ -14,28 +14,29 @@ import random
 import pytest
 
 from repro.errors import EventOrderError
-from repro.events.batch import EventBatch, replay
+from repro.events.batch import EventBatch
 from repro.events.regions import RegionRegistry, RegionType
 from repro.profiling.basic import ClassicProfiler
+from repro.substrates.tracing import TracingSubstrate
 
 
-class ClassicListener:
-    """Per-event listener feeding enter/exit events to a ClassicProfiler."""
-
-    on_task_begin = on_task_end = on_task_switch = on_metric = None
-
-    def __init__(self, profiler):
-        self.profiler = profiler
-
-    def on_enter(self, thread_id, region, time, parameter=None):
-        self.profiler.enter(region, time, parameter)
-
-    def on_exit(self, thread_id, region, time):
-        self.profiler.exit(region, time)
+def _tracer(reg):
+    tracing = TracingSubstrate()
+    tracing.initialize(reg, 1, 0.0)
+    return tracing
 
 
-def consume(profiler, batch):
-    replay(batch, ClassicListener(profiler))
+def _classic(main, tracing):
+    """A ClassicProfiler fed thread 0's traced stream (finished)."""
+    profiler = ClassicProfiler(main)
+    profiler.feed(tracing.artifact().stream(0))
+    return profiler
+
+
+def consume(main, batch):
+    tracing = _tracer(batch.registry)
+    tracing.on_batch(batch)
+    return _classic(main, tracing)
 
 
 @pytest.fixture
@@ -80,21 +81,21 @@ def _run_legacy(main, events):
 
 
 def _run_batched(reg, main, events, split):
-    profiler = ClassicProfiler(main)
+    tracing = _tracer(reg)
     t_end = events[-1][2] + 1.0
     batch = EventBatch(reg)
     batch.add_enter(0, main, 0.0)
     for kind, region, t in events:
         if len(batch.codes) >= split:
-            consume(profiler, batch)
+            tracing.on_batch(batch)
             batch.clear()  # reused in place, as the instrumentation layer does
         if kind == "enter":
             batch.add_enter(0, region, t)
         else:
             batch.add_exit(0, region, t)
     batch.add_exit(0, main, t_end)
-    consume(profiler, batch)
-    return profiler.finish()
+    tracing.on_batch(batch)
+    return _classic(main, tracing).root
 
 
 def _signature(node):
@@ -139,15 +140,13 @@ def test_parameterized_enters_split_children(workload):
     """Enter parameters travel in the payload table and split children."""
     reg, main, functions = workload
     f = functions[0]
-    profiler = ClassicProfiler(main)
     batch = EventBatch(reg)
     batch.add_enter(0, main, 0.0)
     for i, n in enumerate((3, 5, 3)):
         batch.add_enter(0, f, 1.0 + i, parameter=("n", n))
         batch.add_exit(0, f, 1.5 + i)
     batch.add_exit(0, main, 10.0)
-    consume(profiler, batch)
-    root = profiler.finish()
+    root = consume(main, batch).root
 
     legacy = ClassicProfiler(main)
     legacy.enter(main, 0.0)
@@ -163,21 +162,18 @@ def test_parameterized_enters_split_children(workload):
 
 def test_root_open_set_from_first_batch_time(workload):
     reg, main, functions = workload
-    profiler = ClassicProfiler(main)
     batch = EventBatch(reg)
     batch.add_enter(0, main, 42.5)
     f = functions[0]
     batch.add_enter(0, f, 43.0)
     batch.add_exit(0, f, 44.0)
     batch.add_exit(0, main, 45.0)
-    consume(profiler, batch)
-    assert profiler._root_open == 42.5
+    assert consume(main, batch)._root_open == 42.5
 
 
 def test_empty_batch_is_a_noop(workload):
     reg, main, _ = workload
-    profiler = ClassicProfiler(main)
-    consume(profiler, EventBatch(reg))
+    profiler = consume(main, EventBatch(reg))
     assert profiler._root_open is None
     assert profiler.depth == 0
 
@@ -192,7 +188,7 @@ def test_mismatched_exit_raises(workload):
     batch.add_enter(0, functions[0], 1.0)
     batch.add_exit(0, functions[1], 2.0)
     with pytest.raises(EventOrderError, match="does not match"):
-        consume(ClassicProfiler(main), batch)
+        consume(main, batch)
 
 
 def test_exit_on_empty_stack_raises(workload):
@@ -200,4 +196,4 @@ def test_exit_on_empty_stack_raises(workload):
     batch = EventBatch(reg)
     batch.add_exit(0, functions[0], 1.0)
     with pytest.raises(EventOrderError, match="no open region"):
-        consume(ClassicProfiler(main), batch)
+        consume(main, batch)

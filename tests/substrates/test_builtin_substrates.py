@@ -8,12 +8,10 @@ from repro.faults.recording import DieAtRecordSubstrate
 from repro.substrates import (
     OnlineValidationSubstrate,
     ProfilingSubstrate,
+    RecorderSubstrate,
     StatsSubstrate,
     Substrate,
-)
-
-EVENT_CALLBACKS = (
-    "on_enter", "on_exit", "on_task_begin", "on_task_end", "on_task_switch", "on_metric",
+    TracingSubstrate,
 )
 
 
@@ -24,32 +22,34 @@ def _builtin_substrates(cls=Substrate):
         yield from _builtin_substrates(sub)
 
 
-# ----------------------------------------------------------------------
-# One consume path per substrate
-# ----------------------------------------------------------------------
-def test_no_builtin_substrate_consumes_both_ways():
-    classes = list(_builtin_substrates())
-    assert {"TracingSubstrate", "StatsSubstrate", "RecorderSubstrate"} <= {
-        c.__name__ for c in classes
-    }  # the recorder is imported with DieAtRecordSubstrate above
-    for cls in classes:
-        native = cls.on_batch is not Substrate.on_batch
-        per_event = [
-            cb for cb in EVENT_CALLBACKS if getattr(cls, cb) is not getattr(Substrate, cb)
-        ]
-        assert not (native and per_event), f"{cls.__name__}: on_batch and {per_event}"
-
-
 @pytest.fixture()
 def registry():
     return RegionRegistry()
 
 
-def test_profiling_substrate_binds_only_the_batch_consume(registry):
-    substrate = ProfilingSubstrate()
-    substrate.initialize(registry, 1, 0.0, registry.register("i", RegionType.IMPLICIT_TASK))
-    assert "on_batch" in vars(substrate)
-    assert not set(EVENT_CALLBACKS) & set(vars(substrate))
+# ----------------------------------------------------------------------
+# One consume path per substrate
+# ----------------------------------------------------------------------
+def test_builtin_consumers_take_events_only_through_on_batch(registry, tmp_path):
+    substrates = [
+        ProfilingSubstrate(),
+        TracingSubstrate(),
+        StatsSubstrate(),
+        OnlineValidationSubstrate(),
+        RecorderSubstrate(record_dir=str(tmp_path / "recorder")),
+        DieAtRecordSubstrate(10**9, record_dir=str(tmp_path / "die")),
+    ]
+    assert {type(s) for s in substrates} == set(_builtin_substrates())
+    implicit = registry.register("i", RegionType.IMPLICIT_TASK)
+    for substrate in substrates:
+        cls = type(substrate)
+        assert cls.on_batch is not Substrate.on_batch, cls.__name__
+        substrate.initialize(registry, 1, 0.0, implicit)
+        # No hook is rebound onto the instance: the manager's dispatch
+        # tables, built from the classes, stay right after initialize.
+        bound = [n for n in vars(substrate) if n.startswith("on_")]
+        assert not bound, f"{cls.__name__} binds {bound}"
+        substrate.finalize(1.0)
 
 
 def test_die_at_record_substrate_overrides_only_append():

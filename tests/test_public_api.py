@@ -62,7 +62,6 @@ PROMISED = {
     ],
     "repro.instrument": [
         "InstrumentationLayer",
-        "Pomp2Listener",
         "instrument_source",
         "instrument_function",
     ],
