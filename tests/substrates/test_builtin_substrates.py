@@ -14,6 +14,10 @@ from repro.substrates import (
     TracingSubstrate,
 )
 
+EVENT_CALLBACKS = (
+    "on_enter", "on_exit", "on_task_begin", "on_task_end", "on_task_switch", "on_metric",
+)
+
 
 def _builtin_substrates(cls=Substrate):
     for sub in cls.__subclasses__():
@@ -30,7 +34,7 @@ def registry():
 # ----------------------------------------------------------------------
 # One consume path per substrate
 # ----------------------------------------------------------------------
-def test_builtin_consumers_take_events_only_through_on_batch(registry, tmp_path):
+def test_no_builtin_substrate_consumes_both_ways(registry, tmp_path):
     substrates = [
         ProfilingSubstrate(),
         TracingSubstrate(),
@@ -40,16 +44,32 @@ def test_builtin_consumers_take_events_only_through_on_batch(registry, tmp_path)
         DieAtRecordSubstrate(10**9, record_dir=str(tmp_path / "die")),
     ]
     assert {type(s) for s in substrates} == set(_builtin_substrates())
+    # The per-event path is gone: the base offers no per-event callback to
+    # override, so on_batch is the one way events reach a substrate.
+    assert not [cb for cb in EVENT_CALLBACKS if hasattr(Substrate, cb)]
     implicit = registry.register("i", RegionType.IMPLICIT_TASK)
     for substrate in substrates:
         cls = type(substrate)
         assert cls.on_batch is not Substrate.on_batch, cls.__name__
+        per_event = [cb for cb in EVENT_CALLBACKS if hasattr(cls, cb)]
+        assert not per_event, f"{cls.__name__}: on_batch and {per_event}"
         substrate.initialize(registry, 1, 0.0, implicit)
         # No hook is rebound onto the instance: the manager's dispatch
         # tables, built from the classes, stay right after initialize.
         bound = [n for n in vars(substrate) if n.startswith("on_")]
         assert not bound, f"{cls.__name__} binds {bound}"
         substrate.finalize(1.0)
+
+
+def test_profiling_substrate_binds_only_the_batch_consume(registry):
+    substrate = ProfilingSubstrate()
+    substrate.initialize(registry, 1, 0.0, registry.register("i", RegionType.IMPLICIT_TASK))
+    # The batch consume is the class method, delegating to the profiler;
+    # nothing (on_batch included) is bound onto the instance.
+    assert type(substrate).on_batch is not Substrate.on_batch
+    assert substrate.on_batch.__func__ is ProfilingSubstrate.on_batch
+    assert not [n for n in vars(substrate) if n.startswith("on_")]
+    assert not [cb for cb in EVENT_CALLBACKS if hasattr(substrate, cb)]
 
 
 def test_die_at_record_substrate_overrides_only_append():
