@@ -13,13 +13,16 @@ was lost.
 ``run_campaign`` sweeps corruption modes x seeds x kernels, asserting
 the system-level property the paper's robustness argument needs: no
 fault in the campaign grid ever produces an unhandled exception in
-lenient mode.
+lenient mode.  In-process or supervised, it runs each cell of the
+:func:`~repro.supervisor.spec.fault_grid` through
+:func:`~repro.supervisor.worker.run_fault_cell` and builds each row
+with :meth:`CampaignResult.of`, so the two paths agree cell by cell.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 from repro.bots.registry import get_program
 from repro.errors import CampaignInterrupted, ReproError, WatchdogTimeout
@@ -37,7 +40,7 @@ from repro.events.regions import RegionType
 from repro.events.repair import repair_streams
 from repro.events.stream import ProgramTrace
 from repro.events.validate import collect_trace_violations
-from repro.faults.plan import FAULT_MODES, FaultPlan, plan_for_mode
+from repro.faults.plan import FAULT_MODES, FaultPlan
 from repro.profiling.profile import Profile
 from repro.profiling.salvage import SalvageReport
 from repro.profiling.task_profiler import TaskProfiler
@@ -326,16 +329,27 @@ class CampaignResult:
     ok: bool
     summary: str
     error: Optional[str] = None
-    #: supervisor outcome class (``ok``/``partial``/``degraded``/``error``/
-    #: ``timeout``/``crash``/``oom``); in-process cells derive it from
-    #: ``status`` (or the governor's degradation state)
+    #: cell outcome class (``ok``/``partial``/``degraded``/``error``/
+    #: ``timeout``/``crash``/``oom``/...), as the cell payload names it
     outcome: str = ""
     #: how many worker attempts this cell took (1 = no retries)
     attempts: int = 1
 
-    def __post_init__(self) -> None:
-        if not self.outcome:
-            self.outcome = "ok" if self.status == "complete" else self.status
+    @classmethod
+    def of(cls, params: Mapping, cell: Mapping, attempts: int) -> "CampaignResult":
+        """The row for a fault cell's ``params`` and its settled ``cell``
+        (a :func:`~repro.supervisor.journal.cell_payload`)."""
+        return cls(
+            app=params["app"],
+            mode=params["mode"],
+            seed=params["seed"],
+            status=cell["status"],
+            ok=cell["ok"],
+            summary=cell["summary"],
+            error=cell["error"],
+            outcome=cell["outcome"],
+            attempts=attempts,
+        )
 
 
 def run_campaign(
@@ -355,99 +369,56 @@ def run_campaign(
 ) -> List[CampaignResult]:
     """Sweep the fault grid in lenient mode; never raises per-cell.
 
-    ``supervised=True`` runs every cell in an isolated worker subprocess
-    via :class:`repro.supervisor.Supervisor`: ``jobs`` workers in
-    parallel, per-cell wall-clock timeouts, retry-with-backoff for
-    transient failures, and (with ``journal_path``) a crash-safe journal
-    that ``resume=True`` replays so completed cells are not re-executed.
+    The grid is :func:`~repro.supervisor.spec.fault_grid`'s, and every
+    cell runs through :func:`~repro.supervisor.worker.run_fault_cell`:
+    here, one after another, or with ``supervised=True`` in isolated
+    worker subprocesses via :class:`repro.supervisor.Supervisor`:
+    ``jobs`` workers in parallel, per-cell wall-clock timeouts,
+    retry-with-backoff for transient failures, and (with
+    ``journal_path``) a crash-safe journal that ``resume=True`` replays
+    so completed cells are not re-executed.
 
     Either way, a ``KeyboardInterrupt`` raises
     :class:`~repro.errors.CampaignInterrupted` carrying the cells that
     finished, instead of discarding them.
     """
-    if supervised:
-        return _run_campaign_supervised(
-            apps, modes, seeds, size, n_threads, watchdog_us,
-            jobs=jobs, wall_timeout_s=wall_timeout_s, retries=retries,
-            journal_path=journal_path, resume=resume,
-        )
-    results: List[CampaignResult] = []
-    cells = [(a, m, s) for a in apps for m in modes for s in seeds]
-    try:
-        for app, mode, seed in cells:
-            plan = plan_for_mode(mode, seed=seed)
-            outcome = run_tolerant(
-                app,
-                size=size,
-                n_threads=n_threads,
-                seed=seed,
-                plan=plan,
-                watchdog_us=watchdog_us,
-            )
-            summary = (
-                outcome.salvage.summary()
-                if outcome.salvage is not None
-                else "profile complete: no salvage needed"
-            )
-            results.append(
-                CampaignResult(
-                    app=app,
-                    mode=mode,
-                    seed=seed,
-                    status=outcome.status,
-                    ok=outcome.ok,
-                    summary=summary,
-                    error=outcome.error,
-                    outcome="degraded" if outcome.degraded else "",
-                )
-            )
-    except KeyboardInterrupt:
-        raise CampaignInterrupted(
-            f"campaign interrupted after {len(results)} of {len(cells)} cells",
-            results,
-        ) from None
-    return results
-
-
-def _run_campaign_supervised(
-    apps, modes, seeds, size, n_threads, watchdog_us, *,
-    jobs, wall_timeout_s, retries, journal_path, resume,
-) -> List[CampaignResult]:
-    from repro.supervisor import Supervisor, fault_grid
+    from repro.supervisor import Supervisor, fault_grid, run_fault_cell
 
     specs = fault_grid(
         apps, modes, seeds,
         size=size, n_threads=n_threads, watchdog_us=watchdog_us,
         wall_timeout_s=wall_timeout_s,
     )
-    report = Supervisor(
-        specs,
-        jobs=jobs,
-        timeout_s=wall_timeout_s,
-        retries=retries,
-        journal_path=journal_path,
-        resume=resume,
-    ).run()
-    by_cell = {spec.cell_id: spec for spec in specs}
-    results = []
-    for cell in report.results:
-        params = by_cell[cell.cell_id].params
-        if report.interrupted and cell.outcome in ("interrupted", "pending"):
-            continue  # unfinished cells are not campaign results
-        results.append(
-            CampaignResult(
-                app=params["app"],
-                mode=params["mode"],
-                seed=params["seed"],
-                status=cell.status,
-                ok=cell.ok,
-                summary=cell.summary,
-                error=cell.error,
-                outcome=cell.outcome,
-                attempts=cell.attempts,
+    results: List[CampaignResult] = []
+    if supervised:
+        report = Supervisor(
+            specs,
+            jobs=jobs,
+            timeout_s=wall_timeout_s,
+            retries=retries,
+            journal_path=journal_path,
+            resume=resume,
+        ).run()
+        by_cell = {spec.cell_id: spec for spec in specs}
+        for cell in report.results:
+            if report.interrupted and cell.outcome in ("interrupted", "pending"):
+                continue  # unfinished cells are not campaign results
+            results.append(
+                CampaignResult.of(
+                    by_cell[cell.cell_id].params, vars(cell), cell.attempts
+                )
             )
-        )
-    if report.interrupted:
+        interrupted = report.interrupted
+    else:
+        interrupted = False
+        try:
+            for spec in specs:
+                results.append(
+                    CampaignResult.of(spec.params, run_fault_cell(spec.params), 1)
+                )
+        except KeyboardInterrupt:
+            interrupted = True
+    if interrupted:
         raise CampaignInterrupted(
             f"campaign interrupted after {len(results)} of {len(specs)} cells",
             results,

@@ -154,21 +154,27 @@ class SubstrateManager:
     def report(self) -> Dict[str, dict]:
         """Per-substrate dispatch/overhead accounting.
 
-        ``events`` is how many events the substrate actually received
-        (delivery stops at quarantine), ``charged_us`` the virtual time
-        its declared ``per_event_cost`` charged to the run.
+        ``events`` is how many events the substrate actually received:
+        none when its class does not override ``on_batch`` (the fan-out
+        skips it), the count at quarantine for a quarantined one.
+        ``charged_us`` is the virtual time its declared
+        ``per_event_cost`` charged to the run: every delivered event pays
+        it, since the charge is fixed at attachment and never drops.
         """
         by_name = {i.substrate: i for i in self.incidents}
         out: Dict[str, dict] = {}
         for substrate in self.substrates:
             incident = by_name.get(substrate.name)
-            events = (
-                incident.events_delivered if incident is not None else self.events_delivered
-            )
+            if not _overrides(substrate, "on_batch"):
+                events = 0
+            elif incident is not None:
+                events = incident.events_delivered
+            else:
+                events = self.events_delivered
             out[substrate.name] = {
                 "events": events,
                 "per_event_cost": substrate.per_event_cost,
-                "charged_us": events * substrate.per_event_cost,
+                "charged_us": self.events_delivered * substrate.per_event_cost,
                 "essential": substrate.essential,
                 "quarantined": incident is not None,
                 "error": incident.error if incident is not None else None,

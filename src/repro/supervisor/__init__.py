@@ -35,6 +35,7 @@ from repro.supervisor.journal import (
     TERMINAL_OUTCOMES,
     Journal,
     JournalState,
+    cell_payload,
     load_journal,
 )
 from repro.supervisor.salvage import SALVAGEABLE_OUTCOMES, attempt_cell_salvage
@@ -53,13 +54,14 @@ from repro.supervisor.supervisor import (
     outcome_table,
     run_supervised,
 )
-from repro.supervisor.worker import execute_spec, wall_clock_guard
+from repro.supervisor.worker import execute_spec, run_fault_cell, wall_clock_guard
 
 __all__ = [
     "BackoffPolicy",
     "FAST_BACKOFF",
     "Journal",
     "JournalState",
+    "cell_payload",
     "load_journal",
     "JOURNAL_VERSION",
     "RESUMABLE_OUTCOMES",
@@ -79,5 +81,6 @@ __all__ = [
     "outcome_table",
     "run_supervised",
     "execute_spec",
+    "run_fault_cell",
     "wall_clock_guard",
 ]

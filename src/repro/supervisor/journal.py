@@ -28,7 +28,7 @@ a pipe, so an orphaned worker can never corrupt it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Set
+from typing import Dict, Optional, Set
 
 from repro.errors import JournalVersionError
 from repro.ioutil import AppendLog
@@ -53,6 +53,34 @@ RETRYABLE_OUTCOMES = frozenset({"crash", "timeout", "oom", "stuck"})
 #: Outcomes that mean "the campaign stopped, not the cell": never
 #: retried in-run, re-run by ``--resume``.
 RESUMABLE_OUTCOMES = frozenset({"interrupted", "cancelled", "pending"})
+
+
+def cell_payload(
+    outcome: str,
+    summary: str,
+    error: Optional[str] = None,
+    *,
+    ok: bool = False,
+    status: Optional[str] = None,
+    **extra,
+) -> dict:
+    """The outcome of one cell, as a worker reports it and a ``result`` logs it.
+
+    Every settled cell is described by this one shape, whichever side
+    classified it: the worker (a completed run, ``timeout``, ``oom``,
+    ``error``) or the supervisor (``crash``, ``stuck``, a parent-side
+    ``timeout``, ``short_circuited``, ``cancelled``, ``interrupted``,
+    ``pending``).  ``status`` defaults to ``outcome``; ``extra`` keys
+    (``duration_s``, ``archive``, ...) follow the five fixed ones.
+    """
+    return {
+        "outcome": outcome,
+        "ok": ok,
+        "status": outcome if status is None else status,
+        "summary": summary,
+        "error": error,
+        **extra,
+    }
 
 
 class Journal(AppendLog):

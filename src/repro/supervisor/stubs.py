@@ -69,21 +69,6 @@ def stalled_cell(grace_s: float = 60.0) -> dict:  # pragma: no cover
     return {"summary": "resumed from SIGSTOP"}
 
 
-def crash_while_missing(marker: str) -> dict:
-    """Crashes until ``marker`` exists -- a whole *class* gone bad.
-
-    Unlike :func:`flaky_cell` (one cell, transient), every cell calling
-    this with the same marker crashes until the file appears: the shape
-    a circuit breaker opens on, and -- once a test creates the marker --
-    the shape a half-open probe re-closes on.
-    """
-    if os.path.exists(marker):
-        return {"summary": "class recovered"}
-    os.kill(os.getpid(), signal.SIGKILL)
-    time.sleep(60)  # pragma: no cover - never reached
-    return {"summary": "unreachable"}  # pragma: no cover
-
-
 def crash_until_attempts(scratch: str, need: int = 3) -> dict:
     """Crashes until ``need`` attempts have been burned on the class.
 

@@ -12,6 +12,16 @@ write-ahead to an fsync'd JSONL file so that a SIGKILL of any worker
 re-runs only the rest.  ``KeyboardInterrupt`` drains workers, flushes
 the journal, and returns the partial results instead of losing them.
 
+A cell's outcome has one shape and one settle path.  Every outcome,
+whether the worker classified it or the parent did (``crash``,
+``stuck``, a parent-side ``timeout``, a breaker refusal, a cancel, an
+interrupt), is a :func:`~repro.supervisor.journal.cell_payload`.  A
+retried attempt's payload is only journaled; a cell's final one goes
+through :meth:`Supervisor._settle`, which puts the cell's
+:class:`CellResult` in the result table and then journals the payload,
+in that order on every path.  Resume rebuilds the result from the
+journaled record with :meth:`CellResult.from_record`.
+
 Workers are forked once per job slot and reused for the cells of one
 :meth:`Supervisor.run`, so a cell does not pay for a fresh fork and a
 cold copy-on-write heap.  A worker that reports a completed cell
@@ -69,6 +79,7 @@ from repro.supervisor.journal import (
     TERMINAL_OUTCOMES,
     Journal,
     JournalState,
+    cell_payload,
     load_journal,
 )
 from repro.supervisor.spec import RunSpec, check_unique_cell_ids
@@ -95,6 +106,24 @@ class CellResult:
     duration_s: float = 0.0
     #: True when replayed from the journal instead of re-executed
     cached: bool = False
+
+    @classmethod
+    def from_record(
+        cls, cell_id: str, record: dict, attempts: int, cached: bool = False
+    ) -> "CellResult":
+        """The result a :func:`~repro.supervisor.journal.cell_payload`
+        (or the journal ``result`` record built from one) describes."""
+        return cls(
+            cell_id=cell_id,
+            outcome=record.get("outcome", "ok"),
+            ok=bool(record.get("ok", False)),
+            status=record.get("status", ""),
+            summary=record.get("summary", ""),
+            attempts=attempts,
+            error=record.get("error"),
+            duration_s=float(record.get("duration_s", 0.0)),
+            cached=cached,
+        )
 
 
 class _SigtermDrain(BaseException):
@@ -260,8 +289,12 @@ class Supervisor:
         completed = state.completed
         for spec in self.specs:
             if spec.cell_id in completed:
-                results[spec.cell_id] = self._cached_result(
-                    spec, state.results[spec.cell_id], attempts_seen
+                record = state.results[spec.cell_id]
+                results[spec.cell_id] = CellResult.from_record(
+                    spec.cell_id,
+                    record,
+                    attempts_seen.get(spec.cell_id, int(record.get("attempt", 1))),
+                    cached=True,
                 )
             else:
                 item = (spec, attempts_seen.get(spec.cell_id, 0) + 1, 1)
@@ -340,14 +373,14 @@ class Supervisor:
         if interrupted:
             for spec in self.specs:
                 if spec.cell_id not in results:
-                    results[spec.cell_id] = CellResult(
-                        cell_id=spec.cell_id,
-                        outcome="pending",
-                        ok=False,
-                        status="pending",
-                        summary="not started before the interrupt "
-                        "(re-run with --resume)",
-                        attempts=attempts_seen.get(spec.cell_id, 0),
+                    results[spec.cell_id] = CellResult.from_record(
+                        spec.cell_id,
+                        cell_payload(
+                            "pending",
+                            "not started before the interrupt "
+                            "(re-run with --resume)",
+                        ),
+                        attempts_seen.get(spec.cell_id, 0),
                     )
         ordered = [
             results[spec.cell_id] for spec in self.specs if spec.cell_id in results
@@ -449,26 +482,9 @@ class Supervisor:
         re-runs exactly these cells and replays everything else.
         """
         for spec, attempt, _rnd in items:
-            payload = {
-                "outcome": "cancelled",
-                "ok": False,
-                "status": "cancelled",
-                "summary": reason,
-                "error": None,
-                "duration_s": 0.0,
-            }
-            if journal is not None:
-                journal.result(spec.cell_id, attempt, payload)
-            results[spec.cell_id] = CellResult(
-                cell_id=spec.cell_id,
-                outcome="cancelled",
-                ok=False,
-                status="cancelled",
-                summary=reason,
-                attempts=attempt - 1,  # this attempt never launched
-                error=None,
-                duration_s=0.0,
-            )
+            payload = cell_payload("cancelled", reason, duration_s=0.0)
+            # this attempt never launched
+            self._settle(journal, results, spec, attempt, payload, attempt - 1)
 
     def _finalize_short_circuit(
         self,
@@ -485,43 +501,39 @@ class Supervisor:
             f"{state.consecutive_failures} consecutive "
             f"{state.last_failure or 'failure'}(s); no worker launched"
         )
-        payload = {
-            "outcome": "short_circuited",
-            "ok": False,
-            "status": "short_circuited",
-            "summary": reason,
-            "error": f"ShortCircuited: {state.last_failure or 'failure'}",
-            "duration_s": 0.0,
-        }
-        if journal is not None:
-            journal.result(spec.cell_id, attempt, payload)
-        results[spec.cell_id] = CellResult(
-            cell_id=spec.cell_id,
-            outcome="short_circuited",
-            ok=False,
-            status="short_circuited",
-            summary=reason,
-            attempts=attempt - 1,  # refused before launching
-            error=payload["error"],
+        payload = cell_payload(
+            "short_circuited",
+            reason,
+            f"ShortCircuited: {state.last_failure or 'failure'}",
             duration_s=0.0,
         )
+        # refused before launching
+        self._settle(journal, results, spec, attempt, payload, attempt - 1)
+
+    @staticmethod
+    def _settle(
+        journal: Optional[Journal],
+        results: Dict[str, CellResult],
+        spec: RunSpec,
+        attempt: int,
+        payload: dict,
+        attempts: int,
+    ) -> None:
+        """Settle a cell: its final result first, then its journal record.
+
+        The result table is filled before the append, so a Ctrl-C
+        landing inside the append cannot drop a settled cell from the
+        partial table.  ``attempt`` numbers the journal record;
+        ``attempts`` is the count the result reports (one less than
+        ``attempt`` for a cell refused before launching).
+        """
+        results[spec.cell_id] = CellResult.from_record(
+            spec.cell_id, payload, attempts
+        )
+        if journal is not None:
+            journal.result(spec.cell_id, attempt, payload)
 
     # ------------------------------------------------------------------
-    def _cached_result(
-        self, spec: RunSpec, record: dict, attempts_seen: Dict[str, int]
-    ) -> CellResult:
-        return CellResult(
-            cell_id=spec.cell_id,
-            outcome=record.get("outcome", "ok"),
-            ok=bool(record.get("ok", False)),
-            status=record.get("status", ""),
-            summary=record.get("summary", ""),
-            attempts=attempts_seen.get(spec.cell_id, int(record.get("attempt", 1))),
-            error=record.get("error"),
-            duration_s=float(record.get("duration_s", 0.0)),
-            cached=True,
-        )
-
     def _launch(
         self,
         journal: Optional[Journal],
@@ -633,16 +645,13 @@ class Supervisor:
                 finished.append(
                     (
                         entry,
-                        {
-                            "outcome": "stuck",
-                            "ok": False,
-                            "status": "stuck",
-                            "summary": f"worker alive but silent for "
-                            f"{silent:.1f} s (heartbeat interval "
-                            f"{self.heartbeat_s:g} s); escalated SIGTERM "
-                            f"then SIGKILL",
-                            "error": "WorkerStuck: heartbeats stopped",
-                        },
+                        cell_payload(
+                            "stuck",
+                            f"worker alive but silent for {silent:.1f} s "
+                            f"(heartbeat interval {self.heartbeat_s:g} s); "
+                            f"escalated SIGTERM then SIGKILL",
+                            "WorkerStuck: heartbeats stopped",
+                        ),
                     )
                 )
             elif entry.deadline is not None and now >= entry.deadline:
@@ -650,14 +659,12 @@ class Supervisor:
                 finished.append(
                     (
                         entry,
-                        {
-                            "outcome": "timeout",
-                            "ok": False,
-                            "status": "timeout",
-                            "summary": f"worker exceeded its wall-clock limit "
-                            f"of {entry.limit:g} s and was killed",
-                            "error": "WallClockTimeout: killed by supervisor",
-                        },
+                        cell_payload(
+                            "timeout",
+                            f"worker exceeded its wall-clock limit of "
+                            f"{entry.limit:g} s and was killed",
+                            "WallClockTimeout: killed by supervisor",
+                        ),
                     )
                 )
 
@@ -677,7 +684,21 @@ class Supervisor:
             will_retry = (
                 retryable and not no_retries and entry.round < self.retries + 1
             )
-            if not will_retry:
+            if will_retry:
+                # A retried attempt is journaled, not settled: the cell
+                # stays open until its last attempt.
+                if journal is not None:
+                    journal.result(entry.spec.cell_id, entry.attempt, payload)
+                delay = self.backoff.delay(entry.round, key=entry.spec.cell_id)
+                delayed.append(
+                    (
+                        time.monotonic() + delay,
+                        entry.spec,
+                        entry.attempt + 1,
+                        entry.round + 1,
+                    )
+                )
+            else:
                 # Terminal failure of a worker that died without handing
                 # back a profile: salvage what its recording preserved.
                 from repro.supervisor.salvage import (
@@ -697,34 +718,13 @@ class Supervisor:
                                 f"{salvage['records']} recorded events "
                                 f"from {salvage['source']}"
                             ).lstrip("; ")
-                # Settle the cell before journaling it: a Ctrl-C landing
-                # inside the append must not drop a finished cell from
-                # the partial table.
-                results[entry.spec.cell_id] = CellResult(
-                    cell_id=entry.spec.cell_id,
-                    outcome=payload["outcome"],
-                    ok=bool(payload["ok"]),
-                    status=payload["status"],
-                    summary=payload["summary"],
-                    attempts=entry.attempt,
-                    error=payload["error"],
-                    duration_s=payload["duration_s"],
+                self._settle(
+                    journal, results, entry.spec, entry.attempt, payload,
+                    entry.attempt,
                 )
-            if journal is not None:
-                journal.result(entry.spec.cell_id, entry.attempt, payload)
             if breaker is not None:
                 breaker.record(
                     entry.spec.class_key(), payload["outcome"], probe=entry.probe
-                )
-            if will_retry:
-                delay = self.backoff.delay(entry.round, key=entry.spec.cell_id)
-                delayed.append(
-                    (
-                        time.monotonic() + delay,
-                        entry.spec,
-                        entry.attempt + 1,
-                        entry.round + 1,
-                    )
                 )
 
     @staticmethod
@@ -759,13 +759,11 @@ class Supervisor:
                 reason = f"signal {-code}"
         else:
             reason = f"exit code {code}"
-        return {
-            "outcome": "crash",
-            "ok": False,
-            "status": "crash",
-            "summary": f"worker died ({reason}) without reporting a result",
-            "error": f"WorkerCrash: {reason}",
-        }
+        return cell_payload(
+            "crash",
+            f"worker died ({reason}) without reporting a result",
+            f"WorkerCrash: {reason}",
+        )
 
     @staticmethod
     def _reap(proc, conn) -> None:
@@ -817,26 +815,15 @@ class Supervisor:
         try:
             for entry in running:
                 self._kill(entry)
-                payload = {
-                    "outcome": "interrupted",
-                    "ok": False,
-                    "status": "interrupted",
-                    "summary": f"killed by {cause} mid-attempt "
-                    "(re-run with --resume)",
-                    "error": cause,
-                    "duration_s": round(time.monotonic() - entry.started, 6),
-                }
-                if journal is not None:
-                    journal.result(entry.spec.cell_id, entry.attempt, payload)
-                results[entry.spec.cell_id] = CellResult(
-                    cell_id=entry.spec.cell_id,
-                    outcome="interrupted",
-                    ok=False,
-                    status="interrupted",
-                    summary=payload["summary"],
-                    attempts=entry.attempt,
-                    error=cause,
-                    duration_s=payload["duration_s"],
+                payload = cell_payload(
+                    "interrupted",
+                    f"killed by {cause} mid-attempt (re-run with --resume)",
+                    cause,
+                    duration_s=round(time.monotonic() - entry.started, 6),
+                )
+                self._settle(
+                    journal, results, entry.spec, entry.attempt, payload,
+                    entry.attempt,
                 )
             running.clear()
             if journal is not None:

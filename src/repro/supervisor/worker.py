@@ -14,8 +14,9 @@ watchdog (``RuntimeConfig.wall_timeout_s`` / ``RunSpec.wall_timeout_s``)
 with ``SIGALRM``, which the in-process runtime cannot do -- a kernel
 busy-looping in host Python never advances virtual time, so the
 virtual-time ``watchdog_us`` never fires, and only a signal (or the
-parent killing the process) gets control back.  Every failure is folded
-into a small JSON-able payload with an ``outcome``:
+parent killing the process) gets control back.  Every result and every
+failure is folded into a small JSON-able
+:func:`~repro.supervisor.journal.cell_payload` with an ``outcome``:
 
 ====================  =============================================
 outcome               meaning
@@ -45,6 +46,10 @@ native or signal-masked code; heartbeats cannot be *faked* by such
 code, only stopped -- which is exactly the signal the parent needs to
 tell a wedged worker from a slow one.
 
+A fault cell runs through :func:`run_fault_cell`, which is also the
+runner of the in-process :func:`repro.faults.run_campaign`, so both
+campaign paths classify a cell the same way.
+
 ``degraded`` is deliberately distinct from ``oom``: an out-of-memory
 *kill* is transient (another attempt may fit), while a governor-degraded
 run is the deterministic product of its memory budget -- retrying it
@@ -60,6 +65,7 @@ from contextlib import contextmanager
 from typing import Any, Dict
 
 from repro.errors import ReproError, WallClockTimeout
+from repro.supervisor.journal import cell_payload
 from repro.supervisor.spec import RunSpec, spec_from_dict
 
 
@@ -99,7 +105,15 @@ def wall_clock_guard(seconds):
 # ----------------------------------------------------------------------
 # Spec dispatch
 # ----------------------------------------------------------------------
-def _run_fault_cell(params: Dict[str, Any]) -> dict:
+def run_fault_cell(params: Dict[str, Any]) -> dict:
+    """Run one fault-campaign cell in this process; returns its payload.
+
+    ``params`` are a :func:`~repro.supervisor.spec.fault_cell` spec's.
+    The outcome is ``degraded`` when the governor engaged, ``ok`` for a
+    complete profile and ``partial`` for a salvaged one.  Both campaign
+    paths run their cells here: the worker for supervised cells, and
+    :func:`repro.faults.run_campaign` for in-process ones.
+    """
     from repro.faults.campaign import DEFAULT_WATCHDOG_US, run_tolerant
     from repro.faults.plan import plan_for_mode
 
@@ -128,13 +142,9 @@ def _run_fault_cell(params: Dict[str, Any]) -> dict:
         kind = "ok"
     else:
         kind = "partial"
-    payload = {
-        "outcome": kind,
-        "ok": outcome.ok,
-        "status": outcome.status,
-        "summary": summary,
-        "error": outcome.error,
-    }
+    payload = cell_payload(
+        kind, summary, outcome.error, ok=outcome.ok, status=outcome.status
+    )
     archive_dir = params.get("archive_dir")
     if archive_dir and outcome.profile is not None:
         payload["archive"] = _archive_outcome(archive_dir, outcome, params)
@@ -186,19 +196,13 @@ def _run_call_cell(params: Dict[str, Any]) -> dict:
         )
     fn = getattr(importlib.import_module(module_name), attr)
     value = fn(**params.get("kwargs", {}))
-    payload = {
-        "outcome": "ok",
-        "ok": True,
-        "status": "complete",
-        "summary": f"{target} returned",
-        "error": None,
-    }
+    payload = cell_payload("ok", f"{target} returned", ok=True, status="complete")
     if isinstance(value, dict):
         payload.update(value)
     return payload
 
 
-_DISPATCH = {"fault": _run_fault_cell, "call": _run_call_cell}
+_DISPATCH = {"fault": run_fault_cell, "call": _run_call_cell}
 
 
 def execute_spec(spec: RunSpec, wall_timeout_s=None) -> dict:
@@ -211,31 +215,16 @@ def execute_spec(spec: RunSpec, wall_timeout_s=None) -> dict:
         with wall_clock_guard(wall_timeout_s):
             return _DISPATCH[spec.kind](spec.params)
     except WallClockTimeout as exc:
-        return {
-            "outcome": "timeout",
-            "ok": False,
-            "status": "timeout",
-            "summary": str(exc),
-            "error": f"WallClockTimeout: {exc}",
-        }
+        return cell_payload("timeout", str(exc), f"WallClockTimeout: {exc}")
     except MemoryError as exc:
-        return {
-            "outcome": "oom",
-            "ok": False,
-            "status": "oom",
-            "summary": "worker ran out of memory",
-            "error": f"MemoryError: {exc}",
-        }
+        return cell_payload(
+            "oom", "worker ran out of memory", f"MemoryError: {exc}"
+        )
     except KeyboardInterrupt:
         raise
     except (ReproError, Exception) as exc:  # deterministic: not retried
-        return {
-            "outcome": "error",
-            "ok": False,
-            "status": "error",
-            "summary": f"{type(exc).__name__}: {exc}",
-            "error": f"{type(exc).__name__}: {exc}",
-        }
+        message = f"{type(exc).__name__}: {exc}"
+        return cell_payload("error", message, message)
 
 
 def _start_heartbeats(conn, send_lock, interval_s):

@@ -176,7 +176,8 @@ def test_keyboard_interrupt_preserves_completed_cells(monkeypatch):
 
 
 def test_supervised_campaign_matches_sequential(tmp_path):
-    kwargs = dict(apps=("fib",), modes=("task_exception", "drop_events"),
+    kwargs = dict(apps=("fib",),
+                  modes=("task_exception", "drop_events", "pressure", "none"),
                   seeds=(0,))
     sequential = run_campaign(**kwargs)
     supervised = run_campaign(
@@ -185,8 +186,9 @@ def test_supervised_campaign_matches_sequential(tmp_path):
         jobs=2,
         journal_path=str(tmp_path / "journal.jsonl"),
     )
-    assert len(supervised) == len(sequential) == 2
-    cell = lambda r: (r.app, r.mode, r.seed, r.status, r.ok, r.summary)
+    assert len(supervised) == len(sequential) == 4
+    cell = lambda r: (r.app, r.mode, r.seed, r.outcome, r.status, r.ok,
+                      r.summary)
     assert sorted(map(cell, supervised)) == sorted(map(cell, sequential))
     assert all(r.attempts == 1 for r in supervised)
     # the same journal resumes to the same table without re-running

@@ -13,6 +13,7 @@ The acceptance bar for the substrate refactor:
 
 import pytest
 
+from repro.analysis.experiment import run_app
 from repro.cube import dumps
 from repro.errors import SubstrateError
 from repro.faults import run_tolerant
@@ -144,6 +145,56 @@ def test_substrate_per_event_cost_is_charged():
     assert costly.extra["substrates"]["costly"]["charged_us"] == pytest.approx(
         0.5 * costly.events_dispatched
     )
+
+
+def test_substrate_without_on_batch_reports_no_events_received():
+    class CostlySubstrate(Substrate):
+        name = "costly"
+        per_event_cost = 0.5
+
+    result = run_app(
+        "fib", size="test", n_threads=2,
+        substrates=("profiling", CostlySubstrate()),
+    ).parallel
+    report = result.extra["substrates"]
+    # The fan-out skips a class that does not override on_batch...
+    assert report["costly"]["events"] == 0
+    assert report["profiling"]["events"] == result.events_dispatched
+    # ...but the timeline still charges its cost on every event.
+    assert report["costly"]["charged_us"] == pytest.approx(
+        0.5 * result.events_dispatched
+    )
+
+
+def test_quarantined_substrate_row_charges_what_the_timeline_charged():
+    class SecondBatchBreaks(Substrate):
+        name = "breaks"
+        essential = False
+        per_event_cost = 0.5
+
+        def __init__(self):
+            self.batches = 0
+
+        def on_batch(self, batch):
+            self.batches += 1
+            if self.batches == 2:
+                raise RuntimeError("broke on the second batch")
+
+    kwargs = dict(size="small", n_threads=4)
+    free = run_app("fib", substrates=("profiling",), **kwargs).parallel
+    result = run_app(
+        "fib", substrates=("profiling", SecondBatchBreaks()), **kwargs
+    ).parallel
+    row = result.extra["substrates"]["breaks"]
+    assert row["quarantined"] is True
+    # Delivery stopped at the quarantine...
+    assert 0 < row["events"] < result.events_dispatched
+    # ...but the charge is fixed at attachment: every event paid it.
+    charged = sum(s["instr"] for s in result.thread_stats) - sum(
+        s["instr"] for s in free.thread_stats
+    )
+    assert charged == pytest.approx(0.5 * result.events_dispatched)
+    assert row["charged_us"] == pytest.approx(charged)
 
 
 def test_substrates_run_without_instrumentation_cost():

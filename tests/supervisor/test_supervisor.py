@@ -8,16 +8,19 @@ killed by the wall-clock watchdog without blocking the rest of the
 grid, and a journaled grid resumes without re-executing finished cells.
 """
 
+import dataclasses
 import time
 from types import SimpleNamespace
 
 import pytest
 
+from repro.fabric.breaker import BreakerPolicy
 from repro.supervisor import supervisor as supervisor_module
 from repro.supervisor import (
     FAST_BACKOFF,
     Supervisor,
     call_cell,
+    fault_cell,
     load_journal,
     outcome_table,
     run_supervised,
@@ -148,6 +151,34 @@ def test_resume_reruns_only_failed_cells(tmp_path):
     assert second.result_for("good").cached  # not re-executed
     flaky = second.result_for("flaky")
     assert not flaky.cached and flaky.attempts == 2  # attempt numbering continues
+
+
+def test_resume_replays_every_settled_field(tmp_path):
+    journal = str(tmp_path / "journal.jsonl")
+    specs = [
+        _stub("ok_cell", {"value": 1}, cell_id="ok"),
+        _stub("error_cell", cell_id="error"),
+        fault_cell("fib", "pressure", 0),
+        # One class: both crash once, which opens the breaker, so both
+        # retries are refused.
+        _stub("crash_cell", cell_id="crash-a"),
+        _stub("crash_cell", cell_id="crash-b"),
+    ]
+    kwargs = dict(
+        journal_path=journal,
+        retries=1,
+        backoff=FAST_BACKOFF,
+        breaker=BreakerPolicy(threshold=2, max_probes=0),
+    )
+    first = run_supervised(specs, **kwargs)
+    assert [r.outcome for r in first.results] == [
+        "ok", "error", "degraded", "short_circuited", "short_circuited",
+    ]
+    resumed = run_supervised(specs, resume=True, **kwargs)
+    assert all(r.cached for r in resumed.results)
+    assert [
+        dataclasses.replace(r, cached=False) for r in resumed.results
+    ] == first.results
 
 
 def test_duplicate_cells_rejected():
