@@ -154,7 +154,7 @@ def test_ablation_management_ratio_by_granularity(benchmark, report):
         for app, variant in (("fib", "stress"), ("strassen", "stress")):
             result = run_app(
                 app, size="test", variant=variant, n_threads=4, seed=0,
-                record_events=True,
+                substrates=("profiling", "tracing"),
             )
             out[app] = management_ratio(result.parallel.trace)
         return out

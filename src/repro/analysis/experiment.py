@@ -46,7 +46,6 @@ def run_program(
     instrument: bool = True,
     seed: int = 0,
     costs: Optional[CostModel] = None,
-    record_events: bool = False,
     **config_overrides: Any,
 ) -> ExperimentResult:
     """Run a (fresh!) BOTS program under the given configuration.
@@ -58,7 +57,6 @@ def run_program(
         n_threads=n_threads,
         instrument=instrument,
         seed=seed,
-        record_events=record_events,
     )
     if costs is not None:
         config_kwargs["costs"] = costs
@@ -89,7 +87,6 @@ def run_app(
     instrument: bool = True,
     seed: int = 0,
     costs: Optional[CostModel] = None,
-    record_events: bool = False,
     program_kwargs: Optional[dict] = None,
     **config_overrides: Any,
 ) -> ExperimentResult:
@@ -101,6 +98,5 @@ def run_app(
         instrument=instrument,
         seed=seed,
         costs=costs,
-        record_events=record_events,
         **config_overrides,
     )

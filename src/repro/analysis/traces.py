@@ -8,7 +8,8 @@ would be of interest.  In this way it would be possible to calculate the
 ratio of overall management time to exclusive execution time for tasks."
 
 Given a recorded :class:`~repro.events.stream.ProgramTrace`
-(``RuntimeConfig(record_events=True)``), this module computes:
+(``RuntimeConfig(substrates=("profiling", "tracing"))``), this module
+computes:
 
 * :func:`scheduling_latencies` -- the enter(scheduling point) -> first
   task event gaps, and the between-task gaps, per thread;

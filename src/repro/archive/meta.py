@@ -24,15 +24,23 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
 
-def _substrate_names(substrates) -> Tuple[str, ...]:
-    """Stable names for a mixed tuple of registry names and instances."""
-    names = []
-    for entry in substrates or ():
-        if isinstance(entry, str):
-            names.append(entry)
-        else:
-            names.append(getattr(entry, "name", type(entry).__name__))
-    return tuple(names)
+def _substrate_view(config) -> Tuple[bool, Tuple[str, ...]]:
+    """``(traced, names)``: the consumer list as archives have always keyed it.
+
+    Before ``substrates`` was the only way to ask for a trace, archives
+    keyed a traced run of the default wiring by a true ``record_events``
+    flag and no names.  A list that is exactly the default wiring
+    (profiling when instrumented) plus tracing keeps that key, so those
+    fingerprints and ``RunMeta.substrates`` do not move; any other list
+    is keyed by its names and whether it traces.
+    """
+    names = tuple(
+        entry if isinstance(entry, str) else getattr(entry, "name", type(entry).__name__)
+        for entry in config.substrates
+    )
+    if names == (("profiling", "tracing") if config.instrument else ("tracing",)):
+        return True, ()
+    return "tracing" in names, names
 
 
 def config_fingerprint(config) -> str:
@@ -45,6 +53,7 @@ def config_fingerprint(config) -> str:
     an injected slowdown shows up as a candidate diverging from its
     baseline's fingerprint in a sentinel report.
     """
+    traced, names = _substrate_view(config)
     payload: Dict[str, Any] = {
         "n_threads": config.n_threads,
         "queue_policy": config.queue_policy,
@@ -53,8 +62,8 @@ def config_fingerprint(config) -> str:
         "tsc_enabled": config.tsc_enabled,
         "allow_untied": config.allow_untied,
         "instrument": config.instrument,
-        "record_events": config.record_events,
-        "substrates": list(_substrate_names(config.substrates)),
+        "record_events": traced,
+        "substrates": list(names),
         "max_call_path_depth": config.max_call_path_depth,
         "measurement_filter": config.measurement_filter is not None,
         "fault_plan": config.fault_plan is not None,
@@ -150,7 +159,7 @@ def meta_for_result(
         n_threads=result.n_threads,
         seed=result.seed,
         cutoff=result.meta.get("cutoff"),
-        substrates=_substrate_names(config.substrates if config else ()),
+        substrates=_substrate_view(config)[1] if config is not None else (),
         config_hash=config_fingerprint(config) if config is not None else "",
         wall_time_us=result.kernel_time,
         verified=result.verified,
@@ -175,7 +184,7 @@ def meta_for_outcome(
         variant=variant,
         n_threads=config.n_threads if config is not None else 0,
         seed=seed,
-        substrates=_substrate_names(config.substrates if config else ()),
+        substrates=_substrate_view(config)[1] if config is not None else (),
         config_hash=config_fingerprint(config) if config is not None else "",
         wall_time_us=outcome.duration,
         verified=outcome.verified,

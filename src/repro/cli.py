@@ -927,17 +927,12 @@ def _print_substrate_report(parallel) -> None:
 def cmd_run(args) -> int:
     if args.app not in list_programs():
         return _unknown_kernel(args.app)
-    substrates = list(args.substrates or [])
-    if substrates:
+    if args.substrates:
         from repro.substrates import available_substrates
 
-        for name in substrates:
+        for name in args.substrates:
             if name not in available_substrates():
                 return _unknown_substrate(name)
-        # The timeline / strict-validation paths read the recorded trace,
-        # so an explicit substrate list must still include the tracer.
-        if (args.trace_timeline or args.strict) and "tracing" not in substrates:
-            substrates.append("tracing")
     plan = None
     if args.fault_mode:
         from repro.faults.plan import plan_for_mode
@@ -959,18 +954,20 @@ def cmd_run(args) -> int:
         if args.checkpoint_every is not None:
             recorder_kwargs["checkpoint_every"] = args.checkpoint_every
         recorder = RecorderSubstrate(**recorder_kwargs)
-        if not substrates:
-            # An explicit substrate tuple replaces the default wiring, so
-            # rebuild it around the recorder.
-            substrates = ["profiling"]
-            if args.trace_timeline or args.strict:
-                substrates.append("tracing")
 
-    overrides = {}
-    if substrates or recorder is not None:
-        overrides["substrates"] = tuple(substrates) + (
-            (recorder,) if recorder is not None else ()
-        )
+    # The timeline / strict-validation paths read the recorded trace.  An
+    # explicit substrate list replaces the default wiring, so a run that
+    # adds the tracer or the recorder starts from that wiring.
+    wants_trace = args.trace_timeline or args.strict
+    substrates = list(args.substrates or ())
+    if (not substrates and not args.no_instrument
+            and (wants_trace or recorder is not None)):
+        substrates.append("profiling")
+    if wants_trace and "tracing" not in substrates:
+        substrates.append("tracing")
+    if recorder is not None:
+        substrates.append(recorder)
+    overrides = {"substrates": tuple(substrates)}
     if plan is not None:
         overrides["fault_plan"] = plan
     if args.watchdog_us is not None:
@@ -986,7 +983,6 @@ def cmd_run(args) -> int:
             instrument=not args.no_instrument,
             seed=args.seed,
             costs=_costs_override(args),
-            record_events=args.trace_timeline or args.strict,
             **overrides,
         )
         if args.strict and result.parallel.trace is not None:
@@ -1002,7 +998,7 @@ def cmd_run(args) -> int:
           f"verified={result.verified}, threads={args.threads}")
     for bucket in ("work", "mgmt", "instr", "idle"):
         print(f"  {bucket:6s}: {result.bucket_total(bucket):12.1f} us")
-    if substrates:
+    if args.substrates or recorder is not None:
         _print_substrate_report(result.parallel)
     if budget is not None:
         _print_governor_report(result.parallel.extra.get("governor"))
@@ -1183,7 +1179,7 @@ def cmd_report(args) -> int:
         variant=args.variant,
         n_threads=args.threads,
         seed=args.seed,
-        record_events=True,
+        substrates=("profiling", "tracing"),
     )
     text = generate_report(result, title=f"{result.program_label}, "
                                          f"{args.threads} threads, seed {args.seed}")

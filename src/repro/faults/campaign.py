@@ -242,25 +242,20 @@ def run_tolerant(
         # A configured instance supersedes any bare "recorder" name.
         substrate_list = [s for s in substrate_list if s != "recorder"]
         substrate_list.append(recorder)
-    substrate_spec: tuple = ()
-    if substrate_list:
-        names = list(substrate_list)
-        for required in ("profiling", "tracing"):
-            if required not in names:
-                names.append(required)
-        substrate_spec = tuple(names)
+    for required in ("profiling", "tracing"):
+        if required not in substrate_list:
+            substrate_list.append(required)
     program = get_program(name, size=size, variant=variant)
     if memory_budget is None and plan is not None and plan.pressure_budget is not None:
         memory_budget = plan.pressure_budget
     config_kwargs = dict(
         n_threads=n_threads,
         instrument=True,
-        record_events=True,
         seed=seed,
         fault_plan=plan if plan is not None and plan.armed else None,
         watchdog_us=watchdog_us,
         wall_timeout_s=wall_timeout_s,
-        substrates=substrate_spec,
+        substrates=tuple(substrate_list),
         memory_budget=memory_budget,
     )
     if costs is not None:

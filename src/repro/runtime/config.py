@@ -38,9 +38,6 @@ class RuntimeConfig:
         requests are silently downgraded to tied and counted.
     instrument:
         Measurement on/off; the off setting is the Section V baseline.
-    record_events:
-        Also record a full :class:`~repro.events.stream.ProgramTrace`
-        (memory-hungry; for tests and trace-based analysis).
     seed:
         Seed for every scheduling decision (steal victims).
     costs:
@@ -54,18 +51,19 @@ class RuntimeConfig:
     tsc_enabled: bool = True
     allow_untied: bool = False
     instrument: bool = True
-    record_events: bool = False
     seed: int = 0
     costs: CostModel = field(default_factory=CostModel)
-    #: Measurement substrates to attach (Score-P substrate architecture):
-    #: a sequence of registry names (``"profiling"``, ``"tracing"``,
-    #: ``"validation"``, ``"stats"``, or third-party registrations) and/or
-    #: ready-made :class:`~repro.substrates.base.Substrate` instances.
-    #: Empty (the default) keeps the classic behavior: ``instrument``
-    #: attaches the profiling substrate, ``record_events`` the tracing
-    #: substrate.  When non-empty this takes over consumer selection
-    #: completely (``instrument`` then only controls whether the base
-    #: per-event cost is charged and the measurement filter applied).
+    #: Measurement substrates to attach (Score-P substrate architecture),
+    #: the one way a run asks for consumers: a sequence of registry names
+    #: (``"profiling"``, ``"tracing"``, ``"validation"``, ``"stats"``, or
+    #: third-party registrations) and/or ready-made
+    #: :class:`~repro.substrates.base.Substrate` instances.  Empty (the
+    #: default) attaches the profiling substrate when ``instrument`` is
+    #: set.  When non-empty this is the whole consumer list (``instrument``
+    #: then only controls whether the base per-event cost is charged and
+    #: the measurement filter applied); a run that wants a full
+    #: :class:`~repro.events.stream.ProgramTrace` lists ``"tracing"``,
+    #: e.g. ``("profiling", "tracing")``.
     substrates: tuple = ()
     #: Score-P style call-path depth limit; regions entered deeper than
     #: this are folded into the boundary node (None = unlimited).
@@ -129,8 +127,3 @@ class RuntimeConfig:
     def with_substrates(self, *substrates) -> "RuntimeConfig":
         """Attach measurement substrates (names and/or instances)."""
         return replace(self, substrates=tuple(substrates))
-
-    def with_memory_budget(self, budget) -> "RuntimeConfig":
-        """Arm the resource governor with a MemoryBudget (or None)."""
-        return replace(self, memory_budget=budget)
-

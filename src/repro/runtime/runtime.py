@@ -253,8 +253,7 @@ class OpenMPRuntime:
         """The substrate instances this run should attach.
 
         ``config.substrates`` entries may be registry names or ready
-        instances; when empty, the classic flags select the built-ins
-        (``instrument`` -> profiling, ``record_events`` -> tracing).
+        instances; when empty, an instrumented run attaches profiling.
         """
         config = self.config
         if config.substrates:
@@ -264,16 +263,11 @@ class OpenMPRuntime:
                 get_substrate(spec) if isinstance(spec, str) else spec
                 for spec in config.substrates
             ]
-        substrates: list = []
         if config.instrument:
             from repro.substrates.profiling import ProfilingSubstrate
 
-            substrates.append(ProfilingSubstrate())
-        if config.record_events:
-            from repro.substrates.tracing import TracingSubstrate
-
-            substrates.append(TracingSubstrate())
-        return substrates
+            return [ProfilingSubstrate()]
+        return []
 
     def _setup_substrates(self, implicit_region: Region):
         """Build and initialize the run's substrate manager (or ``None``).
@@ -358,10 +352,9 @@ class OpenMPRuntime:
 
         # Measurement setup: resolve the configured consumers into a
         # substrate manager (Score-P substrate architecture).  The empty
-        # default derives the classic wiring from the instrument /
-        # record_events flags, so the event sequence each consumer sees --
-        # and therefore the cube output -- is identical to the historical
-        # direct profiler/recorder wiring.
+        # default attaches profiling to an instrumented run, so the event
+        # sequence it sees -- and therefore the cube output -- is identical
+        # to the historical direct profiler wiring.
         manager = self._setup_substrates(implicit_region)
         if manager is not None:
             base_cost = self.costs.instr_event_us if self.config.instrument else 0.0

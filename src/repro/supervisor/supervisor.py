@@ -289,11 +289,12 @@ class Supervisor:
         completed = state.completed
         for spec in self.specs:
             if spec.cell_id in completed:
-                record = state.results[spec.cell_id]
+                # A cell with no ``start`` record never launched (the
+                # breaker or a cancel settled it): it replays 0 attempts.
                 results[spec.cell_id] = CellResult.from_record(
                     spec.cell_id,
-                    record,
-                    attempts_seen.get(spec.cell_id, int(record.get("attempt", 1))),
+                    state.results[spec.cell_id],
+                    attempts_seen.get(spec.cell_id, 0),
                     cached=True,
                 )
             else:

@@ -10,7 +10,7 @@ from repro.analysis.patterns import PatternMatch, detect_patterns
 def fib_stress():
     return run_app(
         "fib", size="small", variant="stress", n_threads=4, seed=0,
-        record_events=True,
+        substrates=("profiling", "tracing"),
     )
 
 

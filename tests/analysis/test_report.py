@@ -11,7 +11,7 @@ from repro.cli import main
 def traced_result():
     return run_app(
         "nqueens", size="test", variant="stress", n_threads=2, seed=0,
-        record_events=True,
+        substrates=("profiling", "tracing"),
     )
 
 

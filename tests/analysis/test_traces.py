@@ -15,7 +15,8 @@ from repro.analysis.traces import (
 @pytest.fixture(scope="module")
 def fib_trace():
     result = run_app(
-        "fib", size="test", variant="stress", n_threads=4, seed=0, record_events=True
+        "fib", size="test", variant="stress", n_threads=4, seed=0,
+        substrates=("profiling", "tracing"),
     )
     return result, result.parallel.trace
 
@@ -24,7 +25,7 @@ def fib_trace():
 def strassen_trace():
     result = run_app(
         "strassen", size="test", variant="stress", n_threads=4, seed=0,
-        record_events=True,
+        substrates=("profiling", "tracing"),
     )
     return result, result.parallel.trace
 

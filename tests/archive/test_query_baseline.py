@@ -1,5 +1,7 @@
 """Tests for the query layer and baseline aggregation."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.analysis import run_app
@@ -10,12 +12,14 @@ from repro.archive import (
     config_fingerprint,
     find_runs,
     latest_baseline,
+    meta_for_outcome,
     meta_for_result,
 )
 from repro.archive.baseline import MetricStats
 from repro.errors import ArchiveError
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.costs import JUROPA_LIKE
+from repro.substrates.recorder import RecorderSubstrate
 
 
 @pytest.fixture(scope="module")
@@ -50,6 +54,120 @@ def test_fingerprint_ignores_seed_but_not_costs():
     )
     assert config_fingerprint(base) != config_fingerprint(inflated)
     assert config_fingerprint(base) != config_fingerprint(RuntimeConfig(n_threads=4))
+
+
+_RECORDER = RecorderSubstrate()
+
+# The consumer lists today's callers build (``repro run`` under its
+# flags, ``run_tolerant`` plain, with extra substrates and with a
+# recorder) and the fingerprint and ``RunMeta.substrates`` each archives
+# under.  A list that is exactly the default wiring plus tracing keys the
+# way the retired trace flag did, so archived baselines keep grouping.
+# The last two list ``tracing`` without asking for a trace; they key like
+# the identical configurations that do.
+FINGERPRINT_CASES = [
+    pytest.param(
+        "run", {},
+        "2123620841c7702c49866ed2a1a8d2005f886286454b8c0dc9af00e17b6178e7",
+        (),
+        id="run-default",
+    ),
+    pytest.param(
+        "run", dict(substrates=("profiling", "tracing")),
+        "9c604f857071097196411113ed9cc411f0e90b0c6ee100ec7fed6f78b4c78163",
+        (),
+        id="run-strict",
+    ),
+    pytest.param(
+        "run", dict(instrument=False, substrates=("tracing",)),
+        "56962ee76bf9473f498859f5ed12f71a669f48b428bb81b7b5e966114f25a0eb",
+        (),
+        id="run-no-instrument-strict",
+    ),
+    pytest.param(
+        "run", dict(substrates=("stats",)),
+        "4a7ce70daa3764a3439e8b6b9823a7df9935dee5cf7630e04e2222e64b8f3bb7",
+        ("stats",),
+        id="run-substrate-stats",
+    ),
+    pytest.param(
+        "run", dict(substrates=("stats", "tracing")),
+        "fd8e59cd010977be403771ac3e09101c02edae0f2ade5b5ee2ca72d2115f1747",
+        ("stats", "tracing"),
+        id="run-substrate-stats-strict",
+    ),
+    pytest.param(
+        "run", dict(substrates=("profiling", _RECORDER)),
+        "047628419b3ab3e47bdf20067899bf6246379e54d0533ca8d1de93072f307678",
+        ("profiling", "recorder"),
+        id="run-record",
+    ),
+    pytest.param(
+        "run", dict(substrates=("profiling", "tracing", _RECORDER)),
+        "5983d157991faf6a5dabde02ab3a5fd302a3a1042bf4867f915fb266ea6eacc5",
+        ("profiling", "tracing", "recorder"),
+        id="run-record-strict",
+    ),
+    pytest.param(
+        "run", dict(substrates=("profiling",)),
+        "67c39ad6b956169f5302417d7987ae8f48c219c0bca1c4d93d4ed6b5d8085eba",
+        ("profiling",),
+        id="run-substrate-profiling",
+    ),
+    pytest.param(
+        "tolerant", dict(substrates=("profiling", "tracing")),
+        "9c604f857071097196411113ed9cc411f0e90b0c6ee100ec7fed6f78b4c78163",
+        (),
+        id="tolerant-plain",
+    ),
+    pytest.param(
+        "tolerant", dict(substrates=("stats", "profiling", "tracing")),
+        "aa30992b443c30945265661489a2a8fa54ef0fb69d414c9abc021b1f231f96d9",
+        ("stats", "profiling", "tracing"),
+        id="tolerant-extras",
+    ),
+    pytest.param(
+        "tolerant", dict(substrates=(_RECORDER, "profiling", "tracing")),
+        "884dfd589fc028375458867454aab2e1e076f73ed4e5f9086cf1cfb8f65578a4",
+        ("recorder", "profiling", "tracing"),
+        id="tolerant-recorder",
+    ),
+    pytest.param(
+        "run", dict(substrates=("tracing",)),
+        "a396eeeffd9f59df7a3eceb02fd614ee6b3370f13fcaca2513f3069482157e73",
+        ("tracing",),
+        id="run-substrate-tracing",
+    ),
+    pytest.param(
+        "run", dict(substrates=("profiling", "tracing")),
+        "9c604f857071097196411113ed9cc411f0e90b0c6ee100ec7fed6f78b4c78163",
+        (),
+        id="run-substrate-profiling-tracing",
+    ),
+]
+
+
+@pytest.mark.parametrize("source,kwargs,fingerprint,substrates", FINGERPRINT_CASES)
+def test_fingerprint_of_each_consumer_list_is_pinned(
+    source, kwargs, fingerprint, substrates
+):
+    config = RuntimeConfig(n_threads=2, **kwargs)
+    if source == "run":
+        meta = meta_for_result(SimpleNamespace(
+            program_label="fib/cutoff", n_threads=2, seed=0, meta={},
+            kernel_time=1.0, verified=True, config=config,
+        ))
+    else:
+        meta = meta_for_outcome(
+            SimpleNamespace(
+                app="fib", status="complete", config=config, duration=1.0,
+                verified=True,
+            ),
+            size="test", variant="optimized", seed=0,
+        )
+    assert config_fingerprint(config) == fingerprint
+    assert meta.config_hash == fingerprint
+    assert meta.substrates == substrates
 
 
 # ----------------------------------------------------------------------

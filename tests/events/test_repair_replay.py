@@ -188,7 +188,8 @@ def test_repaired_trace_is_consistent_and_a_fixed_point(app, mode, n_threads):
     for seed in range(3):
         result = run_app(
             app, size="test", n_threads=n_threads, seed=seed,
-            record_events=True, fault_plan=plan_for_mode(mode, seed=seed),
+            substrates=("profiling", "tracing"),
+            fault_plan=plan_for_mode(mode, seed=seed),
         )
         trace = result.parallel.trace
         events, _ = repair_streams({s.thread_id: s for s in trace.streams})

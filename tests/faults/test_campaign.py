@@ -82,7 +82,7 @@ def test_aborted_run_hands_its_pending_events_to_the_substrates(mode, error):
     trace, so salvage starts from every event that was measured."""
     program = get_program("fib", size="test")
     runtime = OpenMPRuntime(RuntimeConfig(
-        n_threads=2, seed=0, record_events=True, watchdog_us=1e5,
+        n_threads=2, seed=0, substrates=("profiling", "tracing"), watchdog_us=1e5,
         fault_plan=plan_for_mode(mode, seed=0),
     ))
     with pytest.raises(error):
@@ -133,7 +133,8 @@ def test_generous_watchdog_lets_healthy_runs_finish():
 
 def test_strict_validation_flags_corrupt_trace():
     result = run_app(
-        "fib", size="test", n_threads=2, seed=0, record_events=True,
+        "fib", size="test", n_threads=2, seed=0,
+        substrates=("profiling", "tracing"),
         fault_plan=plan_for_mode("drop_events", seed=0),
     )
     with pytest.raises(ValidationError):

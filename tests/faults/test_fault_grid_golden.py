@@ -7,8 +7,8 @@ once and are pinned:
 * from :func:`~repro.faults.campaign.run_tolerant`: the outcome status,
   the sha256 of the salvage report's ``to_dict()`` (sorted-key JSON) and
   the content hash of the salvaged cube;
-* from ``run_app(record_events=True, fault_plan=...)``: the sha256 of
-  the faulted trace (``repr`` of every event, stream by stream).
+* from ``run_app(substrates=("profiling", "tracing"), fault_plan=...)``:
+  the sha256 of the faulted trace (``repr`` of every event, stream by stream).
 
 A change to where faults are applied, how the trace is repaired, or how
 the repaired stream reaches the lenient profiler that moves one byte of
@@ -171,7 +171,8 @@ def test_tolerant_cell_matches_golden(app, mode, seed):
 @pytest.mark.parametrize("app,mode,seed", sorted(GOLDEN_TRACES))
 def test_faulted_trace_matches_golden(app, mode, seed):
     result = run_app(
-        app, size="test", n_threads=2, seed=seed, record_events=True,
+        app, size="test", n_threads=2, seed=seed,
+        substrates=("profiling", "tracing"),
         fault_plan=plan_for_mode(mode, seed=seed),
     )
     digest = hashlib.sha256()

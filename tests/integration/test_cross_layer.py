@@ -11,7 +11,9 @@ from repro.runtime import RuntimeConfig
 @pytest.mark.parametrize("name", ["nqueens", "sort", "health", "sparselu"])
 def test_kernel_traces_validate(name):
     """Recorded event streams of real kernels pass the task-aware rules."""
-    result = run_app(name, size="test", n_threads=4, seed=2, record_events=True)
+    result = run_app(
+        name, size="test", n_threads=4, seed=2, substrates=("profiling", "tracing")
+    )
     assert result.verified
     validate_program_trace(result.parallel.trace)
 

@@ -120,7 +120,8 @@ def test_kitchen_sink_trace_validates():
     from repro.events.validate import validate_program_trace
 
     config = RuntimeConfig(
-        n_threads=2, instrument=True, costs=ZERO_COST, seed=4, record_events=True
+        n_threads=2, instrument=True, costs=ZERO_COST, seed=4,
+        substrates=("profiling", "tracing"),
     )
     result = run_parallel(kitchen_sink_region, config=config)
     validate_program_trace(result.trace)

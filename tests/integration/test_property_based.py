@@ -78,12 +78,12 @@ def spec_size(spec) -> int:
     return 1 + sum(spec_size(c) for c in children)
 
 
-def run_spec(spec, n_threads, seed, record_events=False):
+def run_spec(spec, n_threads, seed, substrates=()):
     config = RuntimeConfig(
         n_threads=n_threads,
         instrument=True,
         seed=seed,
-        record_events=record_events,
+        substrates=substrates,
     )
     return run_parallel(spec_region(spec), config=config, name="prop")
 
@@ -158,7 +158,7 @@ def test_instance_samples_equal_completed_tasks(spec, n_threads, seed):
 @COMMON_SETTINGS
 @given(spec=tree_specs(), n_threads=st.integers(1, 3), seed=st.integers(0, 3))
 def test_recorded_streams_validate(spec, n_threads, seed):
-    result = run_spec(spec, n_threads, seed, record_events=True)
+    result = run_spec(spec, n_threads, seed, substrates=("profiling", "tracing"))
     validate_program_trace(result.trace)
 
 

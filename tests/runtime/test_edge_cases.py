@@ -188,7 +188,7 @@ def test_record_events_without_instrumentation_still_traces():
         yield ctx.taskwait()
 
     config = RuntimeConfig(
-        n_threads=1, instrument=False, record_events=True, costs=ZERO_COST
+        n_threads=1, instrument=False, substrates=("tracing",), costs=ZERO_COST
     )
     result = run_parallel(body, config=config)
     assert result.profile is None

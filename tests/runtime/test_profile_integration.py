@@ -110,7 +110,9 @@ def test_instrumented_run_is_slower_single_thread():
 
 
 def test_recorded_trace_is_valid_and_matches_profile():
-    config = RuntimeConfig(n_threads=2, instrument=True, record_events=True, seed=3)
+    config = RuntimeConfig(
+        n_threads=2, instrument=True, substrates=("profiling", "tracing"), seed=3
+    )
     result = run_parallel(fib_region, config=config)
     trace = result.trace
     assert trace is not None

@@ -160,9 +160,10 @@ def test_resume_replays_every_settled_field(tmp_path):
         _stub("error_cell", cell_id="error"),
         fault_cell("fib", "pressure", 0),
         # One class: both crash once, which opens the breaker, so both
-        # retries are refused.
+        # retries are refused, and crash-c never launches.
         _stub("crash_cell", cell_id="crash-a"),
         _stub("crash_cell", cell_id="crash-b"),
+        _stub("crash_cell", cell_id="crash-c"),
     ]
     kwargs = dict(
         journal_path=journal,
@@ -173,7 +174,9 @@ def test_resume_replays_every_settled_field(tmp_path):
     first = run_supervised(specs, **kwargs)
     assert [r.outcome for r in first.results] == [
         "ok", "error", "degraded", "short_circuited", "short_circuited",
+        "short_circuited",
     ]
+    assert first.results[-1].attempts == 0
     resumed = run_supervised(specs, resume=True, **kwargs)
     assert all(r.cached for r in resumed.results)
     assert [
