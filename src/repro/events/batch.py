@@ -26,9 +26,13 @@ An event is **one append to each of two flat columns**:
 ``times``  (``array('d')``)
     the virtual timestamp per event, bit-exact.
 
-Every consumer reads the columns directly: the stats substrate counts
-the codes in one C-level pass; the profiler, tracing, validation and the
-recorder decode each code in one loop.
+The layout is decoded in one place: :meth:`EventBatch.records` turns a
+filled batch into the recorder's record tuples (the same shapes replay
+reads back from disk) once per fill, and tracing, validation and the
+recorder all read that one list.  Two consumers stay on the columns:
+the task profiler decodes each code inline into its per-thread state
+machines (a benchmark gate holds that loop to an inline reference), and
+the stats substrate counts the codes in one C-level pass.
 
 Rare payloads (enter parameters, metric counter dicts) live out-of-band
 in ``payloads``, a ``{event index -> object}`` dict, keeping the hot
@@ -37,7 +41,8 @@ columns fixed-width.
 Batches are *reused ring-buffer style*: the instrumentation layer fills
 one batch, flushes it through ``SubstrateManager.on_batch`` at
 scheduling-point boundaries, then :meth:`clear`\\ s it in place.
-Consumers must therefore never retain a reference past the flush call.
+Consumers must therefore never retain a reference to the batch or its
+columns past the flush call (the immutable record tuples may be kept).
 """
 
 from __future__ import annotations
@@ -82,7 +87,7 @@ class EventBatch:
     them to disk without a second interning pass.
     """
 
-    __slots__ = ("registry", "codes", "times", "payloads", "counted")
+    __slots__ = ("registry", "codes", "times", "payloads", "counted", "_records")
 
     def __init__(self, registry: Optional[RegionRegistry] = None) -> None:
         self.registry = registry
@@ -94,6 +99,8 @@ class EventBatch:
         #: which piggy-back on an existing event boundary) -- the number
         #: the manager adds to ``events_delivered`` per flush.
         self.counted = 0
+        #: the decode :meth:`records` built for the current fill
+        self._records: Optional[list] = None
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -108,6 +115,59 @@ class EventBatch:
         if self.payloads:
             self.payloads.clear()
         self.counted = 0
+        self._records = None
+
+    def records(self) -> list:
+        """The batch decoded into record tuples, built once per fill.
+
+        One tuple per event, metric rows included, in batch order, with
+        regions resolved through :attr:`registry` and instance ids
+        unzigzagged -- the recorder's on-disk record shapes:
+
+        * ``("enter", thread, time, region, parameter)``
+        * ``("exit", thread, time, region)``
+        * ``("task_begin", thread, time, region, instance, parameter)``
+        * ``("task_end", thread, time, region, instance)``
+        * ``("task_switch", thread, time, instance)``
+        * ``("metric", thread, time, counters)``
+
+        Every consumer of one flush shares the list, so none may mutate
+        it.  It is rebuilt whenever the fill changed: :meth:`clear` drops
+        it, and a batch grown by direct column appends since the last
+        call is decoded afresh.
+        """
+        records = self._records
+        if records is not None and len(records) == len(self.codes):
+            return records
+        self._records = records = []
+        append = records.append
+        lookup = self.registry.lookup
+        payloads = self.payloads
+        times = self.times
+        for i, code in enumerate(self.codes):
+            kind = code & KIND_MASK
+            tid = (code >> TID_SHIFT) & TID_MASK
+            if kind == K_ENTER:
+                region = lookup((code >> RID_SHIFT) & RID_MASK)
+                parameter = payloads[i] if code & F_PAYLOAD else None
+                append(("enter", tid, times[i], region, parameter))
+            elif kind == K_EXIT:
+                append(("exit", tid, times[i], lookup((code >> RID_SHIFT) & RID_MASK)))
+            elif kind == K_METRIC:
+                append(("metric", tid, times[i], payloads[i]))
+            else:
+                zz = code >> INST_SHIFT
+                instance = (zz >> 1) if not zz & 1 else -((zz + 1) >> 1)
+                if kind == K_TASK_SWITCH:
+                    append(("task_switch", tid, times[i], instance))
+                    continue
+                region = lookup((code >> RID_SHIFT) & RID_MASK)
+                if kind == K_TASK_BEGIN:
+                    parameter = payloads[i] if code & F_PAYLOAD else None
+                    append(("task_begin", tid, times[i], region, instance, parameter))
+                else:
+                    append(("task_end", tid, times[i], region, instance))
+        return records
 
     # -- per-event appenders -------------------------------------------
     # Builders for trace salvage, tests, benchmarks and synthetic streams.

@@ -39,7 +39,10 @@ The task rules live only in :class:`TaskStreamChecker`, the cross-thread
 rules only in :class:`TraceClosure`, whose one instance table lets an
 untied instance resume on any thread (paper Section IV-D1).  The online
 substrate (:mod:`repro.substrates.validation`) walks it in dispatch
-order, :func:`collect_trace_violations` over the merged trace.
+order, :func:`collect_trace_violations` over the merged trace.  Both
+name an event by its record kind (``"enter"`` ... ``"task_switch"``, as
+:meth:`~repro.events.batch.EventBatch.records` spells it), so this module
+knows nothing of the batch's code layout.
 """
 
 from __future__ import annotations
@@ -50,7 +53,6 @@ from operator import attrgetter, itemgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Type
 
 from repro.errors import EventOrderError, ReproError, ValidationError
-from repro.events.batch import K_ENTER, K_EXIT, K_TASK_BEGIN, K_TASK_END, K_TASK_SWITCH
 from repro.events.model import (
     AnyEvent,
     EnterEvent,
@@ -209,10 +211,10 @@ class TaskStreamChecker:
 
     The rule set behind both validators: :func:`collect_trace_violations`
     feeds it from event objects, the online-validation substrate
-    (:mod:`repro.substrates.validation`) straight from
-    :class:`~repro.events.batch.EventBatch` columns while the run is still
-    producing them.  Each :meth:`feed` returns the violations that event
-    caused (usually none), with the lenient continuation rules of
+    (:mod:`repro.substrates.validation`) from each
+    :class:`~repro.events.batch.EventBatch`'s decoded records while the
+    run is still producing them.  Each :meth:`feed` returns the violations
+    that event caused (usually none), with the lenient continuation rules of
     :func:`collect_task_stream_violations`: offending events are skipped,
     except that a TaskEnd with open regions force-closes them (the
     instance still counts as ended) and an attribution mismatch is
@@ -261,15 +263,17 @@ class TaskStreamChecker:
     ) -> List[Violation]:
         """Check one event; return the violations it caused (often empty).
 
-        ``kind`` is a ``K_*`` code of :mod:`repro.events.batch`, or else the
-        type name of an unmappable event; ``region`` is what an enter/exit
-        brackets, ``executing`` the instance it occurred in, and
+        ``kind`` is a record kind name (``"enter"``, ``"exit"``,
+        ``"task_begin"``, ``"task_end"``, ``"task_switch"``), the first field
+        of an :meth:`~repro.events.batch.EventBatch.records` tuple, or
+        else the type name of an unmappable event; ``region`` is what an
+        enter/exit brackets, ``executing`` the instance it occurred in, and
         ``instance`` the one a TaskBegin/TaskEnd/TaskSwitch names.
         """
         index = self._index
         self._index = index + 1
         out: List[Violation] = []
-        if kind == K_ENTER or kind == K_EXIT:
+        if kind == "enter" or kind == "exit":
             if executing != self._current:
                 out.append(
                     Violation(
@@ -281,7 +285,7 @@ class TaskStreamChecker:
                     )
                 )
             stack = self.states[self._current].stack
-            if kind == K_ENTER:
+            if kind == "enter":
                 stack.append(region)
                 return out
             if not stack:
@@ -305,7 +309,7 @@ class TaskStreamChecker:
                         f"{self._current}",
                     )
                 )
-        elif kind == K_TASK_BEGIN:
+        elif kind == "task_begin":
             state = self._state_of(instance)
             if state.begun:
                 out.append(
@@ -319,7 +323,7 @@ class TaskStreamChecker:
             state.begun = True
             state.bound_thread = self.thread_id
             self._current = instance
-        elif kind == K_TASK_END:
+        elif kind == "task_end":
             state = self._state_of(instance)
             if not state.begun or state.ended:
                 out.append(
@@ -355,7 +359,7 @@ class TaskStreamChecker:
                 state.stack.clear()
             state.ended = True
             self._current = self._implicit
-        elif kind == K_TASK_SWITCH:
+        elif kind == "task_switch":
             state = self.states.get(instance)
             if is_implicit(instance):
                 if instance != self._implicit:
@@ -399,16 +403,17 @@ class TaskStreamChecker:
         return out
 
 
-#: The one place event classes map onto the checker's kind codes; task
-#: creation brackets like any region.  Unmapped classes keep their name.
+#: The one place event classes map onto the checker's kind names (the
+#: batch's record kinds); task creation brackets like any region.
+#: Unmapped classes keep their class name.
 _KINDS = {
-    EnterEvent: K_ENTER,
-    TaskCreateBeginEvent: K_ENTER,
-    ExitEvent: K_EXIT,
-    TaskCreateEndEvent: K_EXIT,
-    TaskBeginEvent: K_TASK_BEGIN,
-    TaskEndEvent: K_TASK_END,
-    TaskSwitchEvent: K_TASK_SWITCH,
+    EnterEvent: "enter",
+    TaskCreateBeginEvent: "enter",
+    ExitEvent: "exit",
+    TaskCreateEndEvent: "exit",
+    TaskBeginEvent: "task_begin",
+    TaskEndEvent: "task_end",
+    TaskSwitchEvent: "task_switch",
 }
 
 
@@ -512,7 +517,7 @@ class TraceClosure:
                 ),
             )
         # A TaskBegin/TaskEnd always leaves its instance in the table.
-        if kind == K_TASK_BEGIN:
+        if kind == "task_begin":
             state = self.states[instance]
             # Each thread's events arrive in order, so only a begin on a
             # lower thread moves the thread-major first one.
@@ -520,7 +525,7 @@ class TraceClosure:
                 state.first_thread = thread_id
                 state.first_index = checker.events_seen
             state.begins += 1
-        elif kind == K_TASK_END:
+        elif kind == "task_end":
             self.states[instance].ends += 1
         return out
 

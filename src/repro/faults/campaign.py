@@ -226,22 +226,22 @@ def run_tolerant(
     (:mod:`repro.recorder`): the event stream is spilled to sealed
     chunks there, checkpointed every ``checkpoint_every`` records, and
     on a clean run the manifest is stamped with the live cube's content
-    hash so ``repro verify`` can replay-check it byte-identically.
+    hash so ``repro verify`` can replay-check it byte-identically.  A
+    :class:`~repro.substrates.recorder.RecorderSubstrate` passed in
+    ``substrates`` is stamped the same way.
     """
-    recorder = None
+    from repro.substrates.recorder import RecorderSubstrate
+
     substrate_list = list(substrates) if substrates else []
     if record_dir is not None:
-        from repro.substrates.recorder import RecorderSubstrate
-
         recorder_kwargs = {"record_dir": record_dir}
         if checkpoint_every is not None:
             recorder_kwargs["checkpoint_every"] = checkpoint_every
         if chunk_records is not None:
             recorder_kwargs["chunk_records"] = chunk_records
-        recorder = RecorderSubstrate(**recorder_kwargs)
         # A configured instance supersedes any bare "recorder" name.
         substrate_list = [s for s in substrate_list if s != "recorder"]
-        substrate_list.append(recorder)
+        substrate_list.append(RecorderSubstrate(**recorder_kwargs))
     for required in ("profiling", "tracing"):
         if required not in substrate_list:
             substrate_list.append(required)
@@ -290,13 +290,15 @@ def run_tolerant(
     profile = result.profile
     if profile is not None and profile.salvage is None and fault_summary:
         profile.salvage = SalvageReport(fault_summary=fault_summary)
+    recorder = runtime.substrate_manager.find(RecorderSubstrate)
     if recorder is not None and profile is not None:
-        # Stamp the verification target: repro verify replays the
+        # Stamp the verification target, whether the recorder came from
+        # ``record_dir`` or ``substrates``: repro verify replays the
         # recorded stream and must reproduce exactly this cube.
         from repro.recorder import record_live_profile
 
         try:
-            record_live_profile(record_dir, profile)
+            record_live_profile(recorder.record_dir, profile)
         except OSError:
             pass  # recording is best-effort; never fail a healthy run
     return SalvageOutcome(

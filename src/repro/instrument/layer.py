@@ -23,6 +23,7 @@ from typing import Optional
 
 from repro.events.batch import (
     F_PAYLOAD,
+    INST_SHIFT,
     K_ENTER,
     K_EXIT,
     K_METRIC,
@@ -198,7 +199,7 @@ class InstrumentationLayer:
             K_TASK_BEGIN
             | (thread_id << TID_SHIFT)
             | (region.handle << RID_SHIFT)
-            | (zigzag(instance) << 34)
+            | (zigzag(instance) << INST_SHIFT)
         )
         if parameter is not None:
             batch.payloads[len(batch.codes)] = parameter
@@ -220,7 +221,7 @@ class InstrumentationLayer:
             K_TASK_END
             | (thread_id << TID_SHIFT)
             | (region.handle << RID_SHIFT)
-            | (zigzag(instance) << 34)
+            | (zigzag(instance) << INST_SHIFT)
         )
         batch.times.append(time)
         batch.counted += 1
@@ -233,7 +234,7 @@ class InstrumentationLayer:
             return
         batch = self.batch
         batch.codes.append(
-            K_TASK_SWITCH | (thread_id << TID_SHIFT) | (zigzag(instance) << 34)
+            K_TASK_SWITCH | (thread_id << TID_SHIFT) | (zigzag(instance) << INST_SHIFT)
         )
         batch.times.append(time)
         batch.counted += 1

@@ -12,7 +12,8 @@ lifecycle --
 2. event consumption -- the manager hands every flushed
    :class:`~repro.events.batch.EventBatch` to :meth:`on_batch`, events
    in virtual-time order per thread; that is the only way a substrate
-   receives events, and it reads the packed columns directly.  Phase
+   receives events, and it reads the batch's one shared decode,
+   :meth:`~repro.events.batch.EventBatch.records`.  Phase
    markers arrive as :meth:`on_phase_begin` / :meth:`on_phase_end`;
    after every substrate has consumed a batch, each gets
    :meth:`after_batch`.
@@ -84,12 +85,16 @@ class Substrate:
     def on_batch(self, batch: EventBatch) -> None:
         """Consume one columnar :class:`~repro.events.batch.EventBatch`.
 
-        The one way a substrate receives events: read the packed codes
-        directly (:class:`~repro.substrates.stats.StatsSubstrate` counts
-        them, :class:`~repro.substrates.validation.OnlineValidationSubstrate`
-        decodes each one).  The base method is a no-op, and the manager
-        skips a substrate that does not override it.  Exceptions escape
-        to the manager, which quarantines or aborts per ``essential``.
+        The one way a substrate receives events: read
+        ``batch.records()``, the decode every consumer of the flush shares
+        (:class:`~repro.substrates.validation.OnlineValidationSubstrate`
+        walks it), and never mutate that list.  Only the task profiler (an
+        inline loop a benchmark gates) and
+        :class:`~repro.substrates.stats.StatsSubstrate` (one C-level
+        counting pass) read the packed codes.  The base method is a
+        no-op, and the manager skips a substrate that does not override
+        it.  Exceptions escape to the manager, which quarantines or
+        aborts per ``essential``.
         """
 
     def on_phase_begin(self, name: str) -> None:

@@ -1,8 +1,9 @@
 """The recording substrate: durable spill of the measurement event stream.
 
 Every event of every :class:`~repro.events.batch.EventBatch` the
-manager hands over is appended -- as a plain tuple, no encoding on the
-hot path -- to a :class:`ChunkWriter` that seals batches into
+manager hands over is appended -- as its plain record tuple from
+:meth:`~repro.events.batch.EventBatch.records`, no encoding on the hot
+path -- to a :class:`ChunkWriter` that seals batches into
 CRC32-checksummed, sequence-numbered chunks in
 ``<record_dir>/events.chunks``.
 Periodically (see ``checkpoint_every``) the substrate fsyncs the sealed
@@ -36,21 +37,7 @@ import os
 from typing import Any, Optional
 
 from repro.errors import SubstrateError
-from repro.events.batch import (
-    F_PAYLOAD,
-    INST_SHIFT,
-    K_ENTER,
-    K_EXIT,
-    K_METRIC,
-    K_TASK_BEGIN,
-    K_TASK_SWITCH,
-    KIND_MASK,
-    RID_MASK,
-    RID_SHIFT,
-    TID_MASK,
-    TID_SHIFT,
-    EventBatch,
-)
+from repro.events.batch import EventBatch
 from repro.events.regions import Region, RegionRegistry
 from repro.recorder.chunks import ChunkWriter
 from repro.recorder.store import (
@@ -261,34 +248,10 @@ class RecorderSubstrate(Substrate):
     # Every record funnels through `_append`, which is also the hook a
     # subclass overrides to observe each record (DieAtRecordSubstrate).
     def on_batch(self, batch: EventBatch) -> None:
-        """Append one record tuple per event, metric rows included."""
+        """Append the batch's record tuples, metric rows included."""
         append = self._append
-        lookup = batch.registry.lookup
-        payloads = batch.payloads
-        times = batch.times
-        for i, code in enumerate(batch.codes):
-            kind = code & KIND_MASK
-            tid = (code >> TID_SHIFT) & TID_MASK
-            if kind == K_ENTER:
-                region = lookup((code >> RID_SHIFT) & RID_MASK)
-                parameter = payloads[i] if code & F_PAYLOAD else None
-                append(("enter", tid, times[i], region, parameter))
-            elif kind == K_EXIT:
-                append(("exit", tid, times[i], lookup((code >> RID_SHIFT) & RID_MASK)))
-            elif kind == K_METRIC:
-                append(("metric", tid, times[i], payloads[i]))
-            else:
-                zz = code >> INST_SHIFT
-                instance = (zz >> 1) if not zz & 1 else -((zz + 1) >> 1)
-                if kind == K_TASK_SWITCH:
-                    append(("task_switch", tid, times[i], instance))
-                    continue
-                region = lookup((code >> RID_SHIFT) & RID_MASK)
-                if kind == K_TASK_BEGIN:
-                    parameter = payloads[i] if code & F_PAYLOAD else None
-                    append(("task_begin", tid, times[i], region, instance, parameter))
-                else:
-                    append(("task_end", tid, times[i], region, instance))
+        for record in batch.records():
+            append(record)
 
     def on_phase_begin(self, name: str) -> None:
         self._append(("phase_begin", name))

@@ -1,7 +1,9 @@
 """The tracing substrate: full event recording as a substrate.
 
-Decodes every :class:`~repro.events.batch.EventBatch` into event
-objects stored in a :class:`~repro.events.stream.ProgramTrace`.  It
+Turns the records of every :class:`~repro.events.batch.EventBatch`
+(:meth:`~repro.events.batch.EventBatch.records`, the batch's one shared
+decode) into event objects stored in a
+:class:`~repro.events.stream.ProgramTrace`.  It
 tracks the task instance each thread is executing so enter/exit events
 carry it, exactly as the POMP2 task-aware events do.
 
@@ -16,21 +18,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, Optional
 
-from repro.events.batch import (
-    F_PAYLOAD,
-    INST_SHIFT,
-    K_ENTER,
-    K_EXIT,
-    K_METRIC,
-    K_TASK_BEGIN,
-    K_TASK_SWITCH,
-    KIND_MASK,
-    RID_MASK,
-    RID_SHIFT,
-    TID_MASK,
-    TID_SHIFT,
-    EventBatch,
-)
+from repro.events.batch import EventBatch
 from repro.events.model import (
     AnyEvent,
     EnterEvent,
@@ -103,7 +91,7 @@ class TracingSubstrate(Substrate):
                 streams[event.thread_id].append_unchecked(event)
 
     def on_batch(self, batch: EventBatch) -> None:
-        """Decode each code into its event object and record it.
+        """Turn each of the batch's records into its event object.
 
         An enter/exit is attributed to the instance its thread last began
         or switched to.  Metrics live in the profile, not the event trace,
@@ -111,36 +99,26 @@ class TracingSubstrate(Substrate):
         """
         record = self.record
         current = self._current
-        lookup = batch.registry.lookup
-        payloads = batch.payloads
-        times = batch.times
-        for i, code in enumerate(batch.codes):
-            kind = code & KIND_MASK
-            if kind == K_METRIC:
-                continue
-            tid = (code >> TID_SHIFT) & TID_MASK
-            time = times[i]
-            parameter = payloads[i] if code & F_PAYLOAD else None
-            if kind <= K_EXIT:
-                region = lookup((code >> RID_SHIFT) & RID_MASK)
-                if kind == K_ENTER:
-                    record(EnterEvent(tid, time, current[tid], region, parameter))
-                else:
-                    record(ExitEvent(tid, time, current[tid], region))
-                continue
-            zz = code >> INST_SHIFT
-            instance = (zz >> 1) if not zz & 1 else -((zz + 1) >> 1)
-            if kind == K_TASK_SWITCH:
-                current[tid] = instance
-                record(TaskSwitchEvent(tid, time, instance, instance))
-                continue
-            region = lookup((code >> RID_SHIFT) & RID_MASK)
-            if kind == K_TASK_BEGIN:
+        for rec in batch.records():
+            kind = rec[0]
+            if kind == "enter":
+                _, tid, time, region, parameter = rec
+                record(EnterEvent(tid, time, current[tid], region, parameter))
+            elif kind == "exit":
+                _, tid, time, region = rec
+                record(ExitEvent(tid, time, current[tid], region))
+            elif kind == "task_begin":
+                _, tid, time, region, instance, parameter = rec
                 current[tid] = instance
                 record(TaskBeginEvent(tid, time, instance, region, instance, parameter))
-            else:
+            elif kind == "task_end":
+                _, tid, time, region, instance = rec
                 record(TaskEndEvent(tid, time, instance, region, instance))
                 current[tid] = implicit_instance_id(tid)
+            elif kind == "task_switch":
+                _, tid, time, instance = rec
+                current[tid] = instance
+                record(TaskSwitchEvent(tid, time, instance, instance))
 
     def artifact(self) -> Optional[ProgramTrace]:
         return self.trace

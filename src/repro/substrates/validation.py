@@ -2,9 +2,11 @@
 
 The post-hoc validators (:mod:`repro.events.validate`) need a recorded
 trace; this substrate runs the same task-aware consistency rules
-*streaming*, decoding each :class:`~repro.events.batch.EventBatch` into
-the :class:`~repro.events.validate.TraceClosure` the whole-trace
-validator walks too: per-thread checkers over one shared instance table,
+*streaming*, feeding the records of each
+:class:`~repro.events.batch.EventBatch` (the batch's one shared decode,
+:meth:`~repro.events.batch.EventBatch.records`) into the
+:class:`~repro.events.validate.TraceClosure` the whole-trace validator
+walks too: per-thread checkers over one shared instance table,
 as the task profiler keeps it, so an untied instance may open a region on
 one thread and close it after resuming on another; per-thread time order;
 one TaskBegin and one TaskEnd per instance.  No trace is retained -- memory
@@ -16,18 +18,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import List, Optional
 
-from repro.events.batch import (
-    INST_SHIFT,
-    K_EXIT,
-    K_METRIC,
-    K_TASK_END,
-    KIND_MASK,
-    RID_MASK,
-    RID_SHIFT,
-    TID_MASK,
-    TID_SHIFT,
-    EventBatch,
-)
+from repro.events.batch import EventBatch
 from repro.events.model import implicit_instance_id
 from repro.events.regions import Region, RegionRegistry
 from repro.events.validate import TraceClosure, Violation
@@ -71,7 +62,7 @@ class OnlineValidationSubstrate(Substrate):
                 self.violations.append(violation)
 
     def on_batch(self, batch: EventBatch) -> None:
-        """Native batch consume: decode each code straight into the checks.
+        """Feed each of the batch's records into the checks.
 
         An enter/exit is attributed to the instance its thread last began
         or switched to, as the tracing substrate records it.  Metric rows
@@ -80,21 +71,18 @@ class OnlineValidationSubstrate(Substrate):
         feed = self._closure.feed
         checkers = self._closure.checkers
         current = self._current
-        lookup = batch.registry.lookup
-        times = batch.times
-        for i, code in enumerate(batch.codes):
-            kind = code & KIND_MASK
-            tid = (code >> TID_SHIFT) & TID_MASK
-            if kind <= K_EXIT:
-                region = lookup((code >> RID_SHIFT) & RID_MASK)
-                violations = feed(checkers[tid], times[i], kind, region, 0, current[tid])
-            elif kind == K_METRIC:
+        for rec in batch.records():
+            kind = rec[0]
+            if kind == "enter" or kind == "exit":
+                tid = rec[1]
+                violations = feed(checkers[tid], rec[2], kind, rec[3], 0, current[tid])
+            elif kind == "metric":
                 continue
             else:
-                zz = code >> INST_SHIFT
-                instance = (zz >> 1) if not zz & 1 else -((zz + 1) >> 1)
-                violations = feed(checkers[tid], times[i], kind, None, instance, instance)
-                current[tid] = implicit_instance_id(tid) if kind == K_TASK_END else instance
+                tid = rec[1]
+                instance = rec[3] if kind == "task_switch" else rec[4]
+                violations = feed(checkers[tid], rec[2], kind, None, instance, instance)
+                current[tid] = implicit_instance_id(tid) if kind == "task_end" else instance
             if violations:
                 self._note(violations)
         self.events_checked += batch.counted

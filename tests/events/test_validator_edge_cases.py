@@ -21,7 +21,6 @@ from repro.events import (
     validate_nesting,
     validate_task_stream,
 )
-from repro.events.batch import K_TASK_BEGIN, K_TASK_SWITCH
 from repro.events.model import implicit_instance_id
 from repro.events.stream import ProgramTrace
 from repro.events.validate import (
@@ -84,10 +83,10 @@ def test_tied_instance_resumed_on_another_thread(regions):
     # Thread 0 begins and suspends instance 5 ...
     states = {}
     thread0 = TaskStreamChecker(0, True, states)
-    assert thread0.feed(K_TASK_BEGIN, regions["task"], 5, 5) == []
-    assert thread0.feed(K_TASK_SWITCH, None, IMPL, IMPL) == []
+    assert thread0.feed("task_begin", regions["task"], 5, 5) == []
+    assert thread0.feed("task_switch", None, IMPL, IMPL) == []
     # ... and thread 1 illegally resumes it (tied tasks may not migrate).
-    violations = TaskStreamChecker(1, True, states).feed(K_TASK_SWITCH, None, 5, 5)
+    violations = TaskStreamChecker(1, True, states).feed("task_switch", None, 5, 5)
     assert [v.kind for v in violations] == ["tied-migration"]
     violation = violations[0]
     assert violation.index == 0

@@ -15,6 +15,7 @@ from repro.recorder import (
 )
 from repro.recorder.chunks import read_records
 from repro.recorder.store import events_path, load_manifest
+from repro.substrates import RecorderSubstrate
 
 from tests.recorder.streams import random_records
 
@@ -56,6 +57,18 @@ def test_verify_matches_manifest_expectation(recorded):
     assert report.strict and report.complete
     assert report.expected_sha == load_manifest(record_dir)["live_sha256"]
     assert report.actual_sha == report.expected_sha
+
+
+def test_recorder_passed_as_a_substrate_gets_a_verification_target(tmp_path):
+    record_dir = str(tmp_path / "run")
+    outcome = run_tolerant(
+        "fib", size="test", n_threads=2, seed=0,
+        substrates=[RecorderSubstrate(record_dir)],
+    )
+    assert outcome.status == "complete"
+    assert load_manifest(record_dir)["live_sha256"] == content_hash(outcome.profile)
+    report = verify_recording(record_dir)
+    assert report.matched and report.exit_code == 0
 
 
 def test_verify_against_explicit_dict(recorded):

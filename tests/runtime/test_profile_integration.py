@@ -10,8 +10,13 @@ These tests assert the invariants the paper's design guarantees:
 * the uninstrumented configuration dispatches zero events.
 """
 
+from collections import Counter
+
 import pytest
 
+from repro.analysis import run_app
+from repro.bots.registry import list_programs
+from repro.events.model import TaskEndEvent
 from repro.events.validate import validate_program_trace
 from repro.runtime import OpenMPRuntime, RuntimeConfig
 from repro.runtime.runtime import run_parallel
@@ -120,6 +125,33 @@ def test_recorded_trace_is_valid_and_matches_profile():
     begins = sum(len(s.task_begins()) for s in trace.streams)
     ends = sum(len(s.task_ends()) for s in trace.streams)
     assert begins == ends == result.completed_tasks
+
+
+@pytest.mark.parametrize("variant", ["optimized", "stress"])
+@pytest.mark.parametrize("name", list_programs())
+def test_instance_counts_match_the_trace_per_construct(name, variant):
+    """The profile's instance counts, program-wide and per construct, are
+    the completed tasks and the TaskEnd events the trace recorded."""
+    result = run_app(
+        name,
+        size="test",
+        variant=variant,
+        n_threads=3,
+        seed=1,
+        substrates=("profiling", "tracing"),
+    )
+    profile = result.profile
+    assert profile.total_task_instances() == result.parallel.completed_tasks
+    ends = Counter(
+        event.region.name
+        for stream in result.parallel.trace.streams
+        for event in stream
+        if isinstance(event, TaskEndEvent)
+    )
+    constructs = {region.name for region, _ in profile.aggregated_task_trees()}
+    assert constructs == set(ends)
+    for construct, count in ends.items():
+        assert profile.task_instance_stats(construct).count == count, construct
 
 
 def test_concurrency_tracking_reflects_recursion_depth():

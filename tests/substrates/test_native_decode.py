@@ -1,12 +1,14 @@
-"""Decode oracle for the tracing and recorder batch consumers.
+"""Decode oracle for the batch's shared decode and its consumers.
 
 ``wide_records()`` puts thread ids, region handles and instance ids at
 and past every packing limit.  Packed into :class:`EventBatch`\\ es (with
 metric rows added) at every split size, through one batch reused after
-``clear()`` as the instrumentation layer reuses it, the recorder must
-append exactly those record tuples, and the tracer must store the
-matching event objects with each enter/exit attributed to the instance
-its thread last began or switched to.
+``clear()`` as the instrumentation layer reuses it,
+``EventBatch.records()`` must return exactly those record tuples -- the
+same list for every call within one fill, a new one after each refill --
+the recorder must append them, and the tracer must store the matching
+event objects with each enter/exit attributed to the instance its thread
+last began or switched to.
 """
 
 from repro.events.batch import EventBatch
@@ -26,6 +28,21 @@ class _Regions(dict):
     """handle -> Region, resolved the way ``RegionRegistry.lookup`` does."""
 
     lookup = dict.__getitem__
+
+
+class _DecodeProbe:
+    """Collects each fill's ``records()``, checking it is decoded once."""
+
+    def __init__(self):
+        self.decoded = []
+        self.fills = []
+
+    def on_batch(self, batch):
+        records = batch.records()
+        assert batch.records() is records
+        assert all(records is not earlier for earlier in self.fills)
+        self.fills.append(records)
+        self.decoded.extend(records)
 
 
 class _AppendLog(RecorderSubstrate):
@@ -132,12 +149,23 @@ def test_recorder_and_tracer_decode_every_split():
     kinds = {record[0] for record in RECORDS}
     assert kinds == {"enter", "exit", "task_begin", "task_end", "task_switch", "metric"}
     for split in range(1, len(RECORDS) + 1):
+        probe = _DecodeProbe()
         recorder = _AppendLog()
         tracing = TracingSubstrate()
         tracing.initialize(_regions(RECORDS), N_THREADS, 0.0)
-        _feed([recorder, tracing], split)
+        _feed([probe, recorder, tracing], split)
 
+        assert probe.decoded == RECORDS, split
+        assert len(probe.fills) == -(-len(RECORDS) // split), split
         assert recorder.appended == RECORDS, split
         trace = tracing.artifact()
         for t in range(N_THREADS):
             assert list(trace.stream(t)) == EXPECTED_TRACE.get(t, []), (split, t)
+
+    # A batch grown after it was decoded (the instrumentation layer
+    # appends to the columns directly) is decoded afresh.
+    batch = EventBatch(_regions(RECORDS))
+    _add(batch, RECORDS[0])
+    assert batch.records() == RECORDS[:1]
+    _add(batch, RECORDS[1])
+    assert batch.records() == RECORDS[:2]
